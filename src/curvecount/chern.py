@@ -1,21 +1,24 @@
 """Splitting-principle Chern class calculus over abstract graded rings.
 
 A bundle is represented by its Chern classes c_1..c_rank, each an element of
-some graded ring supplied through a small handle interface.  Symmetric-power
-Chern classes are computed once and for all as universal integer polynomials
-in c_1..c_r by writing the roots of Sym^m as sums of formal roots and
-rewriting the elementary symmetric functions of that multiset through lex
-leading-term elimination.  The same calculus then serves the Grassmannian
-ring and projective-bundle rings by substitution.
+some graded ring supplied through a small handle interface.  Chern classes
+of a symmetric power come from power sums of Chern roots: Newton's
+identities give the power sums of E, the Adams operations psi^a (which
+scale the j-th power sum by a^j) give those of Sym^m E through a recurrence,
+and Newton's identities again give its Chern classes.  That runs once per
+(rank, power, degree) on integer polynomials in c_1..c_r, keeping only
+degrees up to the target ring's top degree, and the result is substituted
+into the Grassmannian ring or a projective-bundle ring.  See Fulton,
+Intersection Theory, ch. 3, and Katz and Stromme's Schubert package.
 
-All coefficients are arbitrary-precision integers and every value is
-immutable.  The universal polynomial cache is a functools.lru_cache and is
-safe to share across threads.
+All coefficients are arbitrary-precision integers, every division is an
+exact integer division that raises on a remainder, and every value is
+immutable.  The polynomial cache is a functools.lru_cache and is safe to
+share across threads.
 """
 
 from __future__ import annotations
 
-import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import lru_cache
@@ -87,290 +90,101 @@ class GrassRing(GradedRing):
         return ChernVector(self, rank, classes)
 
 
-class UniversalPoly:
-    """Integer-coefficient polynomial in formal graded symbols.
-
-    degrees[i] is the degree of symbol i; terms map exponent tuples to
-    nonzero integer coefficients.  Instances are value objects and never
-    mutated after construction.
-    """
-
-    __slots__ = ("degrees", "terms")
-
-    def __init__(self, degrees, terms=()):
-        degrees = tuple(int(d) for d in degrees)
-        clean = {}
-        items = terms.items() if hasattr(terms, "items") else terms
-        for expo, coeff in items:
-            expo = tuple(int(e) for e in expo)
-            if len(expo) != len(degrees):
-                raise ValueError("exponent arity does not match the symbol count")
-            coeff = int(coeff)
-            if coeff:
-                clean[expo] = clean.get(expo, 0) + coeff
-                if not clean[expo]:
-                    del clean[expo]
-        object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UniversalPoly is immutable")
-
-    @classmethod
-    def constant(cls, degrees, value: int) -> "UniversalPoly":
-        zero_expo = (0,) * len(tuple(degrees))
-        return cls(degrees, {zero_expo: value} if value else {})
-
-    @classmethod
-    def variables(cls, degrees) -> list["UniversalPoly"]:
-        degrees = tuple(degrees)
-        gens = []
-        for i in range(len(degrees)):
-            expo = tuple(1 if j == i else 0 for j in range(len(degrees)))
-            gens.append(cls(degrees, {expo: 1}))
-        return gens
-
-    def monomial_degree(self, expo) -> int:
-        return sum(e * d for e, d in zip(expo, self.degrees))
-
-    def component(self, degree: int) -> "UniversalPoly":
-        return UniversalPoly(
-            self.degrees,
-            {e: c for e, c in self.terms.items() if self.monomial_degree(e) == degree},
-        )
-
-    def codimensions(self) -> list[int]:
-        return sorted({self.monomial_degree(e) for e in self.terms})
-
-    def _coerce(self, other):
-        if isinstance(other, UniversalPoly):
-            if other.degrees != self.degrees:
-                raise ValueError("polynomials use different symbol gradings")
-            return other
-        if isinstance(other, int):
-            return UniversalPoly.constant(self.degrees, other)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return UniversalPoly(self.degrees, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UniversalPoly(self.degrees, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return UniversalPoly(self.degrees, {e: other * c for e, c in self.terms.items()})
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return UniversalPoly(self.degrees, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("polynomial powers need a nonnegative integer exponent")
-        out = UniversalPoly.constant(self.degrees, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = UniversalPoly.constant(self.degrees, other)
-        if not isinstance(other, UniversalPoly):
-            return NotImplemented
-        return self.degrees == other.degrees and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.degrees, frozenset(self.terms.items())))
-
-    def substitute(self, values, one, zero):
-        """Evaluate with values[i] replacing symbol i.
-
-        values may be ring elements or plain integers; one and zero are the
-        unit and zero of the target ring.  Substituting a rank-r Chern
-        vector is a graded ring map when the value degrees match.
-        """
-        values = list(values)
-        if len(values) != len(self.degrees):
-            raise ValueError("value count does not match the symbol count")
-        powers = {}
-
-        def pw(i, e):
-            if (i, e) not in powers:
-                acc = values[i]
-                for _ in range(e - 1):
-                    acc = acc * values[i]
-                powers[(i, e)] = acc
-            return powers[(i, e)]
-
-        acc = zero
-        for expo, coeff in sorted(self.terms.items()):
-            term = one
-            for i, e in enumerate(expo):
-                if e:
-                    term = term * pw(i, e)
-            acc = acc + coeff * term
-        return acc
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        chunks = []
-        for expo, coeff in sorted(self.terms.items(), key=lambda kv: (self.monomial_degree(kv[0]), kv[0])):
-            factors = [f"c{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(expo) if e]
-            body = "*".join(factors) if factors else "1"
-            if abs(coeff) == 1 and factors:
-                text = body
-            elif factors:
-                text = f"{abs(coeff)}*{body}"
-            else:
-                text = str(abs(coeff))
-            chunks.append(("+ " if coeff > 0 else "- ") + text if chunks else ("-" + text if coeff < 0 else text))
-        return " ".join(chunks)
-
-    def __repr__(self):
-        return f"<UniversalPoly {self}>"
+def _poly_add(acc: dict, p: dict, scale: int = 1) -> None:
+    """acc += scale * p, in place, dropping zero coefficients."""
+    for e, c in p.items():
+        v = acc.get(e, 0) + scale * c
+        if v:
+            acc[e] = v
+        else:
+            acc.pop(e, None)
 
 
-@dataclass(frozen=True)
-class FormalRing(GradedRing):
-    """Polynomial ring on weighted symbols, used to run the calculus
-    symbolically.  Integration is not defined here."""
-
-    degrees: tuple
-    top: int
-
-    @property
-    def top_degree(self) -> int:
-        return self.top
-
-    def one(self):
-        return UniversalPoly.constant(self.degrees, 1)
-
-    def zero(self):
-        return UniversalPoly.constant(self.degrees, 0)
-
-    def component(self, x, degree):
-        return x.component(degree)
-
-    def integrate(self, x) -> int:
-        raise NotImplementedError("a formal symbol ring has no integration functional")
-
-    def variables(self) -> list[UniversalPoly]:
-        return UniversalPoly.variables(self.degrees)
-
-
-def _elementary_symmetric(r: int, i: int) -> UniversalPoly:
-    degrees = (1,) * r
-    terms = {}
-    for combo in itertools.combinations(range(r), i):
-        expo = tuple(1 if j in combo else 0 for j in range(r))
-        terms[expo] = 1
-    return UniversalPoly(degrees, terms)
-
-
-@lru_cache(maxsize=None)
-def _elementary_monomial(r: int, expo: tuple) -> UniversalPoly:
-    # product of e_{i+1}(x_1..x_r)^expo[i], built incrementally so each
-    # monomial is expanded once per process
-    if not any(expo):
-        return UniversalPoly.constant((1,) * r, 1)
-    i = max(j for j, e in enumerate(expo) if e)
-    prev = tuple(e - 1 if j == i else e for j, e in enumerate(expo))
-    return _elementary_monomial(r, prev) * _elementary_symmetric(r, i + 1)
-
-
-def reduce_symmetric(p: UniversalPoly) -> UniversalPoly:
-    """Rewrite a symmetric polynomial in the formal roots x_1..x_r as a
-    polynomial in the elementary symmetric functions e_1..e_r.
-
-    Uses lex leading-term elimination: the lex-leading monomial of a
-    symmetric polynomial has weakly decreasing exponents (a1 >= a2 >= ...),
-    and subtracting its coefficient times e_1^{a1-a2} e_2^{a2-a3} ... kills
-    it while introducing only lex-smaller monomials.  A leading monomial
-    with increasing exponents proves the input is not symmetric.
-    """
-    degrees = p.degrees
-    if any(d != 1 for d in degrees):
-        raise ValueError("input must live in the degree-1 root symbols")
-    r = len(degrees)
-    work = dict(p.terms)
+def _poly_mul(p: dict, q: dict) -> dict:
+    """p * q; may hold zero coefficients, which _poly_add drops."""
     out = {}
-    while work:
-        expo = max(work)
-        if any(expo[i] < expo[i + 1] for i in range(r - 1)):
-            raise ValueError("polynomial is not symmetric in the roots")
-        coeff = work[expo]
-        e_expo = tuple(expo[i] - (expo[i + 1] if i + 1 < r else 0) for i in range(r))
-        out[e_expo] = out.get(e_expo, 0) + coeff
-        for m, c in _elementary_monomial(r, e_expo).terms.items():
-            nv = work.get(m, 0) - coeff * c
-            if nv:
-                work[m] = nv
-            else:
-                work.pop(m, None)
-    return UniversalPoly(tuple(range(1, r + 1)), out)
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = e1 + e2
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
+
+
+def _exact_div(p: dict, k: int) -> dict:
+    """p / k, raising ArithmeticError unless every coefficient divides."""
+    out = {}
+    for e, c in p.items():
+        q, rem = divmod(c, k)
+        if rem:
+            raise ArithmeticError(f"coefficient {c} is not divisible by {k}")
+        out[e] = q
+    return out
 
 
 @lru_cache(maxsize=None)
-def universal_sym_chern(r: int, m: int) -> tuple:
-    """Chern classes of Sym^m of a rank-r bundle as universal polynomials.
+def _sym_chern_polys(r: int, m: int, top: int) -> tuple:
+    """Chern classes c_1..c_min(R, top) of Sym^m of a rank-r bundle E, with
+    R = binom(m + r - 1, r - 1) its rank, as integer polynomials in the
+    classes c_1..c_v of E, v = min(r, top).
 
-    Returns (c_1, ..., c_R) with R = binom(m + r - 1, r - 1), each a
-    UniversalPoly in symbols of degrees 1..r standing for c_1..c_r of the
-    input bundle.  The roots of Sym^m are all sums of m formal roots with
-    repetition; the result is computed once per (r, m) and cached.
+    A polynomial is a dict from exponent tuples (length v) to nonzero ints;
+    every one is homogeneous, so stopping at degree top truncates them all.
+    Newton's identities turn c(E) into the power sums P_j(E) of its Chern
+    roots; the Adams recurrence
+
+        s P_j(Sym^s) = sum_{a=1..s} sum_i binom(j, i) a^i P_i(E) P_{j-i}(Sym^(s-a)),
+
+    with P_0(Sym^s) = binom(s + r - 1, r - 1), gives the power sums of each
+    Sym^s; Newton's identities again give its Chern classes.  Every division
+    is exact over the integers and checked.  Results are shared between
+    callers and must not be mutated.
     """
-    if not isinstance(r, int) or r < 1:
-        raise ValueError(f"rank must be a positive integer, got {r}")
-    if not isinstance(m, int) or m < 0:
-        raise ValueError(f"symmetric power must be nonnegative, got {m}")
-    xs = UniversalPoly.variables((1,) * r)
-    zero = UniversalPoly.constant((1,) * r, 0)
-    one = UniversalPoly.constant((1,) * r, 1)
-    roots = []
-    for combo in itertools.combinations_with_replacement(range(r), m):
-        root = zero
-        for i in combo:
-            root = root + xs[i]
-        roots.append(root)
-    # coefficients of prod (1 + root * t); slot i is e_i of the root multiset
-    coeffs = [one]
-    for root in roots:
-        coeffs = [coeffs[0]] + [coeffs[i] + coeffs[i - 1] * root for i in range(1, len(coeffs))] + [coeffs[-1] * root]
-    return tuple(reduce_symmetric(c) for c in coeffs[1:])
+    nvars = min(r, top)
+    depth = min(comb(m + r - 1, r - 1), top)
+    # exponents are packed base top + 1 while working: no exponent of a
+    # monomial of degree <= top exceeds top, so adding keys multiplies
+    # monomials without carries
+    base = top + 1
+    unit = 0
+
+    def c(i):  # c_i of E as a polynomial, i <= nvars
+        return {base ** (i - 1): 1}
+
+    # Newton: P_k = sum_{i<k} (-1)^(i-1) c_i P_{k-i} + (-1)^(k-1) k c_k
+    power_e = [{unit: r}]
+    for k in range(1, depth + 1):
+        acc = {}
+        for i in range(1, min(k - 1, nvars) + 1):
+            _poly_add(acc, _poly_mul(c(i), power_e[k - i]), (-1) ** (i - 1))
+        if k <= nvars:
+            _poly_add(acc, c(k), (-1) ** (k - 1) * k)
+        power_e.append(acc)
+
+    sym = [[{unit: 1}] + [{}] * depth]  # sym[s][j] = P_j(Sym^s E)
+    for s in range(1, m + 1):
+        row = [{unit: comb(s + r - 1, r - 1)}]
+        for j in range(1, depth + 1):
+            acc = {}
+            for i in range(j + 1):
+                w = {}
+                for b in range(s):
+                    _poly_add(w, sym[b][j - i], (s - b) ** i)
+                if w:
+                    _poly_add(acc, _poly_mul(power_e[i], w), comb(j, i))
+            row.append(_exact_div(acc, s))
+        sym.append(row)
+
+    # Newton, inverted: k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} P_i
+    power = sym[m]
+    chern = [{unit: 1}]
+    for k in range(1, depth + 1):
+        acc = {}
+        for i in range(1, k + 1):
+            _poly_add(acc, _poly_mul(chern[k - i], power[i]), (-1) ** (i - 1))
+        chern.append(_exact_div(acc, k))
+    return tuple(
+        {tuple(e // base**i % base for i in range(nvars)): c for e, c in p.items()} for p in chern[1:]
+    )
 
 
 @dataclass(frozen=True)
@@ -443,14 +257,38 @@ def _series_inv(a: list, ring: GradedRing, top: int) -> list:
 
 
 def sym_power(e: ChernVector, m: int) -> ChernVector:
-    """Chern vector of Sym^m of e, by substituting into the universal
-    polynomials."""
+    """Chern vector of Sym^m of e.
+
+    The polynomials of _sym_chern_polys, truncated at the ring's top degree,
+    are evaluated at the classes of e; each monomial is one ring product of a
+    smaller monomial and one class.  Classes above the top degree are zero.
+    """
+    if not isinstance(m, int) or m < 0:
+        raise ValueError(f"symmetric power must be a nonnegative integer, got {m}")
     ring = e.ring
     if e.rank == 0:
         return ChernVector.trivial(ring, 1 if m == 0 else 0)
-    polys = universal_sym_chern(e.rank, m)
-    classes = tuple(p.substitute(e.classes, one=ring.one(), zero=ring.zero()) for p in polys)
-    return ChernVector(ring, len(polys), classes)
+    rank = comb(m + e.rank - 1, e.rank - 1)
+    top = min(ring.top_degree, rank)
+    polys = _sym_chern_polys(e.rank, m, top)
+    memo = {(0,) * min(e.rank, top): ring.one()}
+
+    def monomial(expo):
+        value = memo.get(expo)
+        if value is None:
+            i = max(j for j, x in enumerate(expo) if x)
+            value = monomial(expo[:i] + (expo[i] - 1,) + expo[i + 1 :]) * e.classes[i]
+            memo[expo] = value
+        return value
+
+    classes = []
+    for poly in polys:
+        acc = ring.zero()
+        for expo, coeff in poly.items():
+            acc = acc + coeff * monomial(expo)
+        classes.append(acc)
+    classes += [ring.zero()] * (rank - len(classes))
+    return ChernVector(ring, rank, tuple(classes))
 
 
 def dual_bundle(e: ChernVector) -> ChernVector:

@@ -25,11 +25,23 @@ sigma[...] names a Schubert class of the base Grassmannian, zeta the
 hyperplane class of a projective-bundle context, and twist(B, p) tensors B
 by the p-th power of O_P(1).  Parsing and evaluation never mutate anything;
 errors carry positions and the expected-token set.
+
+Size caps.  Legal queries can ask for more than a process can compute, so
+evaluate() rejects a query past one of these caps with an EvalError before
+any computation starts:
+
+    MAX_DIMENSION  the context's dimension: k(n-k) for G(k,n), plus
+                   rank(E) - 1 for P(E) over it
+    MAX_SYM_POWER  m in sym(m, B)
+    MAX_RANK       the rank of every bundle the query names
+    MAX_EXPONENT   the exponent of a power times the exponents of the
+                   powers around it, so nesting cannot square the cap
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .chern import ChernVector, GrassRing, dual_bundle, sym_power, tensor_line, whitney_quotient
 from .projbundle import PBElement, ProjBundleRing
@@ -57,6 +69,12 @@ class ParseError(DSLError):
 class EvalError(DSLError):
     def diagnostic(self) -> str:
         return f"evaluation error: {self.args[0]}"
+
+
+MAX_DIMENSION = 25
+MAX_SYM_POWER = 12
+MAX_RANK = 500
+MAX_EXPONENT = 64
 
 
 # ---------------------------------------------------------------- AST nodes
@@ -522,8 +540,6 @@ def _eval_bundle(node, ring) -> ChernVector:
             return ring.pullback(ring.base.tautological(which))
         return ring.tautological(which)
     if isinstance(node, Sym):
-        if node.power < 0:
-            raise EvalError("symmetric powers must be nonnegative")
         return sym_power(_eval_bundle(node.bundle, ring), node.power)
     if isinstance(node, Dual):
         return dual_bundle(_eval_bundle(node.bundle, ring))
@@ -581,10 +597,69 @@ def _eval_expr(node, ring):
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def _bundle_rank(node, k: int, n: int) -> int:
+    """Rank of a bundle node on G(k, n), checked against the caps."""
+    if isinstance(node, BundleAtom):
+        rank = n - k if node.name == "Q" else k
+    elif isinstance(node, Sym):
+        if node.power < 0:
+            raise EvalError("symmetric powers must be nonnegative")
+        if node.power > MAX_SYM_POWER:
+            raise EvalError(f"sym power {node.power} is above the cap of {MAX_SYM_POWER}")
+        r = _bundle_rank(node.bundle, k, n)
+        rank = comb(node.power + r - 1, r - 1) if r > 0 else int(node.power == 0)
+    elif isinstance(node, (Dual, Twist)):
+        rank = _bundle_rank(node.bundle, k, n)
+    elif isinstance(node, Quotient):
+        rank = _bundle_rank(node.numerator, k, n) - _bundle_rank(node.denominator, k, n)
+    else:
+        raise TypeError(f"not a bundle node: {node!r}")
+    if rank > MAX_RANK:
+        raise EvalError(f"{render_bundle(node)} has rank {rank}, above the cap of {MAX_RANK}")
+    return rank
+
+
+def _check_expr_size(node, k: int, n: int, outer: int) -> None:
+    # runs on every query, so it dispatches on exact node types, commonest first
+    kind = type(node)
+    if kind is Mul or kind is Add or kind is Sub:
+        _check_expr_size(node.left, k, n, outer)
+        _check_expr_size(node.right, k, n, outer)
+    elif kind is Pow:
+        outer *= max(node.exponent, 1)
+        if outer > MAX_EXPONENT:
+            raise EvalError(f"exponent {outer}, counting enclosing powers, is above the cap of {MAX_EXPONENT}")
+        _check_expr_size(node.base, k, n, outer)
+    elif kind is ChernOf:
+        _bundle_rank(node.bundle, k, n)
+    elif kind is Neg or kind is IntegrateNode:
+        _check_expr_size(node.expr, k, n, outer)
+
+
+def _check_size(query: Query) -> None:
+    """Raise EvalError if the query is past one of the size caps."""
+    ctx = query.context
+    if not 0 < ctx.k < ctx.n:
+        return  # not a Grassmannian; _resolve_context reports it
+    dim = ctx.k * (ctx.n - ctx.k)
+    if dim > MAX_DIMENSION:
+        raise EvalError(f"G({ctx.k},{ctx.n}) has dimension {dim}, above the cap of {MAX_DIMENSION}")
+    if isinstance(ctx, BundleContext):
+        dim += max(_bundle_rank(ctx.bundle, ctx.k, ctx.n) - 1, 0)
+        if dim > MAX_DIMENSION:
+            raise EvalError(f"{render_context(ctx)} has dimension {dim}, above the cap of {MAX_DIMENSION}")
+    _check_expr_size(query.expr, ctx.k, ctx.n, 1)
+
+
 def evaluate(query) -> EvalResult:
-    """Evaluate a query string or parsed Query against its own context."""
+    """Evaluate a query string or parsed Query against its own context.
+
+    A query past one of the size caps (see the module docstring) raises
+    EvalError before any computation starts.
+    """
     if isinstance(query, str):
         query = parse(query)
+    _check_size(query)
     ring = _resolve_context(query.context)
     value = _eval_expr(query.expr, ring)
     context = render_context(query.context)

@@ -9,7 +9,7 @@ clock covers a cold computation, not a lookup.
 import time
 from fractions import Fraction
 
-from curvecount.chern import universal_sym_chern, _elementary_monomial
+from curvecount.chern import _sym_chern_polys
 from curvecount.recipes import (
     _conics_impl,
     _lines_impl,
@@ -30,8 +30,7 @@ from curvecount.suites import _small_contexts, run_suite
 
 def _cold_caches():
     _basis_product.cache_clear()
-    _elementary_monomial.cache_clear()
-    universal_sym_chern.cache_clear()
+    _sym_chern_polys.cache_clear()
     _lines_impl.cache_clear()
     _conics_impl.cache_clear()
 

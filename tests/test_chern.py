@@ -2,20 +2,17 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from curvecount.chern import (
     ChernVector,
-    FormalRing,
     GrassRing,
-    UniversalPoly,
+    _exact_div,
+    _sym_chern_polys,
     direct_sum,
     dual_bundle,
-    reduce_symmetric,
     segre,
     sym_power,
     tensor_line,
-    universal_sym_chern,
     whitney_quotient,
 )
 from curvecount.schubert import GrassCtx, SchubertCycle
@@ -24,106 +21,36 @@ R25 = GrassRing(GrassCtx(2, 5))
 R35 = GrassRing(GrassCtx(3, 5))
 
 
-def test_universal_poly_arithmetic():
-    x, y = UniversalPoly.variables((1, 1))
-    square = (x + y) * (x + y)
-    assert square == x * x + 2 * x * y + y * y
-    assert (x - y) * (x + y) == x * x - y * y
-    assert (x + 1) ** 3 == x**3 + 3 * x**2 + 3 * x + 1
-    assert x**0 == UniversalPoly.constant((1, 1), 1)
-
-
-def test_universal_poly_grading():
-    c1, c2 = UniversalPoly.variables((1, 2))
-    p = c1 * c2 + c1**2 + 5
-    assert p.component(0) == UniversalPoly.constant((1, 2), 5)
-    assert p.component(2) == c1**2
-    assert p.component(3) == c1 * c2
-    assert p.codimensions() == [0, 2, 3]
-
-
-def test_universal_poly_is_immutable():
-    x, _ = UniversalPoly.variables((1, 1))
-    with pytest.raises(AttributeError):
-        x.terms = {}
-
-
-def test_substitute_numeric():
-    c1, c2 = UniversalPoly.variables((1, 2))
-    p = c1**2 - 3 * c2 + 7
-    assert p.substitute([2, 5], one=1, zero=0) == 4 - 15 + 7
-
-
-def test_substitute_into_schubert_ring():
-    c1, _ = UniversalPoly.variables((1, 2))
-    s1 = R25.schubert((1,))
-    got = (c1**2).substitute([s1, R25.zero()], one=R25.one(), zero=R25.zero())
-    assert got == s1 * s1
-
-
-def test_reduce_symmetric_power_sums():
-    x, y = UniversalPoly.variables((1, 1))
-    e1, e2 = UniversalPoly.variables((1, 2))
-    assert reduce_symmetric(x + y) == e1
-    assert reduce_symmetric(x * y) == e2
-    assert reduce_symmetric(x**2 + y**2) == e1**2 - 2 * e2
-    assert reduce_symmetric(x**3 + y**3) == e1**3 - 3 * e1 * e2
-
-
-def test_reduce_symmetric_rejects_asymmetric_input():
-    x, y = UniversalPoly.variables((1, 1))
-    with pytest.raises(ValueError):
-        reduce_symmetric(x - y)
-    with pytest.raises(ValueError):
-        reduce_symmetric(x * x * y + x)
-
-
-@settings(max_examples=40)
-@given(st.lists(st.tuples(st.integers(-3, 3), st.lists(st.integers(0, 2), min_size=3, max_size=3)), max_size=4))
-def test_reduce_symmetric_round_trips_elementary_monomials(monomials):
-    # build a polynomial in e1,e2,e3, expand into the roots, reduce back
-    r = 3
-    e = [None] + list(UniversalPoly.variables(tuple(range(1, r + 1))))
-    target = UniversalPoly.constant(tuple(range(1, r + 1)), 0)
-    expanded = UniversalPoly.constant((1,) * r, 0)
-    from curvecount.chern import _elementary_monomial
-
-    for coeff, expo in monomials:
-        expo = tuple(expo)
-        mono = e[1] ** expo[0] * e[2] ** expo[1] * e[3] ** expo[2]
-        target = target + coeff * mono
-        expanded = expanded + coeff * _elementary_monomial(r, expo)
-    assert reduce_symmetric(expanded) == target
+def _untruncated(r, m):
+    return _sym_chern_polys(r, m, math.comb(m + r - 1, r - 1))
 
 
 def test_sym_chern_rank_count():
     for r in (1, 2, 3):
         for m in (0, 1, 2, 3, 4, 5):
-            assert len(universal_sym_chern(r, m)) == math.comb(m + r - 1, r - 1)
+            assert len(_untruncated(r, m)) == math.comb(m + r - 1, r - 1)
 
 
 def test_sym_one_is_identity():
     for r in (1, 2, 3):
-        polys = universal_sym_chern(r, 1)
-        vars_ = UniversalPoly.variables(tuple(range(1, r + 1)))
-        assert list(polys) == vars_
+        variables = [{tuple(int(j == i) for j in range(r)): 1} for i in range(r)]
+        assert list(_untruncated(r, 1)) == variables
 
 
 def test_sym_square_rank_two_closed_form():
-    # rank 2: Sym^2 has roots 2a, a+b, 2b
-    c1, c2 = UniversalPoly.variables((1, 2))
-    p1, p2, p3 = universal_sym_chern(2, 2)
-    assert p1 == 3 * c1
-    assert p2 == 2 * c1**2 + 4 * c2
-    assert p3 == 4 * c1 * c2
+    # rank 2: Sym^2 has roots 2a, a+b, 2b; keys are exponents of (c1, c2)
+    p1, p2, p3 = _untruncated(2, 2)
+    assert p1 == {(1, 0): 3}
+    assert p2 == {(2, 0): 2, (0, 1): 4}
+    assert p3 == {(1, 1): 4}
 
 
 def test_sym_chern_numeric_oracle():
     import itertools
 
     rng = random.Random(5)
-    for r in (1, 2, 3):
-        for m in range(6):
+    for r in (1, 2, 3, 4):
+        for m in range(6) if r < 4 else range(4):
             roots = [rng.randint(-4, 4) for _ in range(r)]
             sums = [sum(c) for c in itertools.combinations_with_replacement(roots, m)]
             direct = [1]
@@ -132,8 +59,33 @@ def test_sym_chern_numeric_oracle():
             evalues = [
                 sum(math.prod(c) for c in itertools.combinations(roots, i)) for i in range(1, r + 1)
             ]
-            got = [p.substitute(evalues, one=1, zero=0) for p in universal_sym_chern(r, m)]
+            got = [
+                sum(c * math.prod(v**e for v, e in zip(evalues, expo)) for expo, c in p.items())
+                for p in _untruncated(r, m)
+            ]
             assert got == direct[1:], (r, m, roots)
+
+
+def test_sym_chern_truncates_at_top_degree():
+    full = _untruncated(3, 3)
+    assert _sym_chern_polys(3, 3, 4) == full[:4]
+    # above the rank of E only c_1..c_top take part
+    assert all(len(expo) == 2 for p in _sym_chern_polys(3, 2, 2) for expo in p)
+
+
+def test_exact_division_checks_remainders():
+    assert _exact_div({(2, 0): 6, (0, 1): -4}, 2) == {(2, 0): 3, (0, 1): -2}
+    with pytest.raises(ArithmeticError):
+        _exact_div({(2, 0): 6, (0, 1): 3}, 2)
+
+
+@pytest.mark.parametrize("k,n,m,count", [(3, 8, 4, 3297280), (4, 9, 3, 321489), (3, 10, 5, 420760566875)])
+def test_plane_counts(k, n, m, count):
+    # top Chern integrals of Sym^m S* on G(k, n), where rank equals dimension
+    ring = GrassRing(GrassCtx(k, n))
+    bundle = sym_power(ring.tautological("sub_dual"), m)
+    assert bundle.rank == ring.top_degree
+    assert ring.integrate(bundle.c(bundle.rank)) == count
 
 
 def test_chern_vector_indexing():
@@ -229,11 +181,10 @@ def test_sym_power_rank_zero_edge():
 
 
 def test_segre_closed_forms():
-    ring = FormalRing((1, 2), top=4)
-    c1, c2 = ring.variables()
-    e = ChernVector(ring, 2, (c1, c2))
+    e = R25.tautological("sub_dual")
+    c1, c2 = e.c(1), e.c(2)
     s = segre(e, 4)
-    assert s[0] == ring.one()
+    assert s[0] == R25.one()
     assert s[1] == -c1
     assert s[2] == c1**2 - c2
     assert s[3] == -(c1**3) + 2 * c1 * c2
@@ -262,9 +213,3 @@ def test_direct_sum_rank_and_commutativity():
     ba = direct_sum(b, a)
     assert ab.rank == 5
     assert ab.classes == ba.classes
-
-
-def test_formal_ring_has_no_integration():
-    ring = FormalRing((1,), top=3)
-    with pytest.raises(NotImplementedError):
-        ring.integrate(ring.one())

@@ -70,6 +70,17 @@ def test_grass_semantic_error_exits_one(capsys):
     assert "evaluation error" in err
 
 
+@pytest.mark.parametrize(
+    "query",
+    ["c(1, sym(13, Q)) in G(2,6)", "sigma[1] in G(5,11)", "c(1, sym(2, sym(12, Q))) in G(2,6)", "sigma[1]^65 in G(2,5)"],
+)
+def test_grass_size_cap_exits_one(capsys, query):
+    code, out, err = run_cli(capsys, "grass", query)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "above the cap" in err
+
+
 def test_count_lines_text(capsys):
     code, out, _ = run_cli(capsys, "count", "lines", "--ambient", "4", "--degrees", "5")
     assert code == 0

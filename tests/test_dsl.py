@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -154,6 +155,43 @@ def test_evaluate_integer_results():
     assert evaluate("integrate(sigma[1]^6) in G(2,5)").value == 5
     assert evaluate("integrate(c(6, sym(5, Sdual))) in G(2,5)").value == 2875
     assert evaluate("2^3 - 10 in G(1,2)").value == -2
+
+
+def test_evaluate_high_sym_power_truncates():
+    # Sym^12 of a rank-4 bundle has rank 455; only degree 1 is needed here
+    assert evaluate("c(1, sym(12, Q)) in G(2,6)").rendered == "1365*sigma[1]"
+
+
+@pytest.mark.parametrize(
+    "query,message",
+    [
+        ("c(1, sym(13, Q)) in G(2,6)", "sym power 13 is above the cap of 12"),
+        ("sigma[1] in G(5,11)", "G(5,11) has dimension 30, above the cap of 25"),
+        ("zeta in P(sym(4, Sdual)) over G(3,8)", "has dimension 29, above the cap of 25"),
+        ("c(1, sym(2, sym(12, Q))) in G(2,6)", "has rank 103740, above the cap of 500"),
+        ("c(1, dual(sym(12, Q))) in P(sym(2, sym(12, Q))) over G(2,6)", "above the cap of 500"),
+        ("sigma[1]^65 in G(2,5)", "exponent 65, counting enclosing powers, is above the cap of 64"),
+        ("(1 + (sigma[1]^8)^9) in G(2,5)", "exponent 72, counting enclosing powers, is above the cap of 64"),
+    ],
+)
+def test_size_caps(query, message, monkeypatch):
+    # the caps reject before any Chern class or Schubert product is computed
+    def no_work(*args):
+        raise AssertionError("work started past a size cap")
+
+    monkeypatch.setattr(dsl, "sym_power", no_work)
+    monkeypatch.setattr(dsl, "GrassRing", no_work)
+    with pytest.raises(EvalError, match=re.escape(message)):
+        evaluate(query)
+
+
+def test_size_caps_admit_the_largest_supported_queries():
+    assert evaluate("integrate(sigma[7,7,7]) in G(3,10)").value == 1
+    assert evaluate("c(1, sym(5, Sdual)) in G(3,10)").rendered == "35*sigma[1]"
+    assert evaluate("integrate(sigma[1]^16) in G(4,8)").value == 24024
+    assert evaluate("integrate(zeta^11) in P(sym(2, Sdual)) over G(3,5)").kind == "integer"
+    assert evaluate("sigma[1]^64 in G(2,4)").rendered == "0"
+    assert evaluate(f"c(1, sym({dsl.MAX_SYM_POWER}, S)) in G(2,{dsl.MAX_DIMENSION // 2 + 2})").kind == "cycle"
 
 
 def test_evaluate_cycle_results():

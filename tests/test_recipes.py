@@ -83,7 +83,7 @@ def test_conic_count_on_quintic():
     assert report.calabi_yau
 
 
-@pytest.mark.parametrize("degree,family_dim", [(2, 6), (3, 4), (4, 2), (6, -2)])
+@pytest.mark.parametrize("degree,family_dim", [(2, 6), (3, 4), (4, 2), (6, -2), (9, -8)])
 def test_conic_families(degree, family_dim):
     report = conics_on_quintic_type(degree)
     assert report.count is None
