@@ -24,15 +24,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .schubert import GrassCtx, SchubertCycle, chern_tautological
+from .schubert import GrassCtx, SchubertCycle, chern_tautological, schubert_class
 from .schubert import integrate as _grass_integrate
 
 
 class GradedRing(ABC):
     """Handle for a commutative graded ring with integer integration.
 
-    Elements must support +, -, * (with each other and with ints) and
-    nonnegative integer powers.  Multiplication adds degrees and anything
+    Elements must support +, -, * (with each other and with ints),
+    nonnegative integer powers and component(degree), their homogeneous
+    part of that degree.  Multiplication adds degrees and anything
     above top_degree is identically zero in the ring.
     """
 
@@ -45,10 +46,6 @@ class GradedRing(ABC):
 
     @abstractmethod
     def zero(self): ...
-
-    @abstractmethod
-    def component(self, x, degree: int):
-        """Homogeneous part of x in the given degree."""
 
     @abstractmethod
     def integrate(self, x) -> int:
@@ -71,15 +68,10 @@ class GrassRing(GradedRing):
     def zero(self):
         return SchubertCycle.zero(self.ctx)
 
-    def component(self, x, degree):
-        return x.component(degree)
-
     def integrate(self, x) -> int:
         return _grass_integrate(x)
 
     def schubert(self, parts) -> SchubertCycle:
-        from .schubert import schubert_class
-
         return schubert_class(self.ctx, parts)
 
     def tautological(self, which: str) -> "ChernVector":
@@ -301,23 +293,26 @@ def tensor_line(e: ChernVector, ell) -> ChernVector:
     """Twist by a line bundle with first Chern class ell.
 
     c_i(E (x) L) = sum_j binom(rank - j, i - j) c_j(E) ell^(i-j).
-    ell must be homogeneous of degree 1 (or zero).
+    ell must be homogeneous of degree 1 (or zero).  Classes above the
+    ring's top degree are zero.
     """
     ring = e.ring
-    if ring.component(ell, 1) != ell:
+    if ell.component(1) != ell:
         raise ValueError("twisting class must be homogeneous of degree 1")
     r = e.rank
+    top = min(r, ring.top_degree)
     ell_pow = [ring.one(), ell]
-    for _ in range(r - 1):
+    for _ in range(top - 1):
         ell_pow.append(ell_pow[-1] * ell)
     classes = []
-    for i in range(1, r + 1):
+    for i in range(1, top + 1):
         acc = ring.zero()
         for j in range(i + 1):
             factor = comb(r - j, i - j)
             if factor:
                 acc = acc + factor * (e.c(j) * ell_pow[i - j])
         classes.append(acc)
+    classes += [ring.zero()] * (r - top)
     return ChernVector(ring, r, tuple(classes))
 
 

@@ -45,7 +45,7 @@ from math import comb
 
 from .chern import ChernVector, GrassRing, dual_bundle, sym_power, tensor_line, whitney_quotient
 from .projbundle import PBElement, ProjBundleRing
-from .schubert import GrassCtx, Partition, SchubertCycle
+from .schubert import GrassCtx, SchubertCycle
 
 
 class DSLError(Exception):
@@ -561,14 +561,11 @@ def _eval_expr(node, ring):
     if isinstance(node, IntLit):
         return node.value
     if isinstance(node, Sigma):
+        base = ring.base if isinstance(ring, ProjBundleRing) else ring
         try:
-            lam = Partition(node.parts)
+            cycle = base.schubert(node.parts)
         except ValueError as exc:
             raise EvalError(str(exc)) from None
-        base = ring.base if isinstance(ring, ProjBundleRing) else ring
-        if not base.ctx.fits(lam):
-            raise EvalError(f"partition {tuple(lam)} does not fit the box of {base.ctx}")
-        cycle = base.schubert(lam)
         return ring.from_base(cycle) if isinstance(ring, ProjBundleRing) else cycle
     if isinstance(node, Zeta):
         if not isinstance(ring, ProjBundleRing):

@@ -7,16 +7,19 @@ subject to the relation
 
     zeta^r + c_1(E) zeta^(r-1) + ... + c_r(E) = 0.
 
-Elements are kept in that canonical form eagerly, so the pushforward along
-the projection is simply the top zeta coefficient; the general rule
-pushforward(zeta^(r-1+j)) = s_j(E) then follows from the relation and is
-exercised by the test suite.
+An element stores flat terms, (j, partition) -> nonzero int for the
+coefficient of sigma_partition * zeta^j with j < r, on the element core it
+shares with SchubertCycle; its base-cycle coefficients b_0, ..., b_(r-1)
+(`coeffs`) are derived from those terms on each read.  Elements are kept in
+that canonical form eagerly, so the pushforward along the projection is
+simply the zeta^(r-1) part; the general rule pushforward(zeta^(r-1+j)) =
+s_j(E) then follows from the relation and is exercised by the test suite.
 """
 
 from __future__ import annotations
 
 from .chern import ChernVector, GradedRing, GrassRing
-from .schubert import SchubertCycle
+from .schubert import _EMPTY, SchubertCycle, _basis_order, _Element
 
 
 class ProjBundleRing(GradedRing):
@@ -36,42 +39,33 @@ class ProjBundleRing(GradedRing):
         return self.base.top_degree + self.fiber_rank - 1
 
     def one(self) -> "PBElement":
-        return self.from_base(self.base.one())
+        return PBElement._trusted(self, {(0, _EMPTY): 1})
 
     def zero(self) -> "PBElement":
-        zero = self.base.zero()
-        return PBElement(self, tuple(zero for _ in range(self.fiber_rank)))
+        return PBElement._trusted(self, {})
 
     def from_base(self, cycle: SchubertCycle) -> "PBElement":
         """Pullback of a base cycle."""
-        coeffs = [cycle] + [self.base.zero()] * (self.fiber_rank - 1)
-        return PBElement(self, tuple(coeffs))
+        if cycle.ctx != self.base.ctx:
+            raise ValueError(f"cycle lives on {cycle.ctx}, not on the base {self.base.ctx}")
+        return PBElement._trusted(self, {(0, lam): c for lam, c in cycle._terms.items()})
 
     def zeta(self, power: int = 1) -> "PBElement":
         """zeta^power in canonical form."""
         if power < 0:
             raise ValueError("zeta powers must be nonnegative")
         if power < self.fiber_rank:
-            coeffs = [self.base.zero()] * self.fiber_rank
-            coeffs[power] = self.base.one()
-            return PBElement(self, tuple(coeffs))
+            return PBElement._trusted(self, {(power, _EMPTY): 1})
         if self.fiber_rank == 1:
             # the relation collapses to zeta = -c1(E), a base class
             return self.from_base((-self.bundle.c(1)) ** power)
-        out = self.zeta(self.fiber_rank - 1)
-        step = self.zeta(1)
-        for _ in range(power - self.fiber_rank + 1):
-            out = out * step
-        return out
+        return self.zeta(1) ** power
 
     def pullback(self, bundle: ChernVector) -> ChernVector:
         """Pullback of a Chern vector from the base."""
         if bundle.ring != self.base:
             raise ValueError("bundle does not live on the base of this projective bundle")
         return ChernVector(self, bundle.rank, tuple(self.from_base(c) for c in bundle.classes))
-
-    def component(self, x: "PBElement", degree: int) -> "PBElement":
-        return x.component(degree)
 
     def integrate(self, x: "PBElement") -> int:
         return pb_integrate(x)
@@ -85,134 +79,89 @@ class ProjBundleRing(GradedRing):
         return f"P(E^{self.fiber_rank}) over {self.base.ctx}"
 
 
-class PBElement:
-    """sum of b_j * zeta^j with base-cycle coefficients and j < fiber rank."""
+class PBElement(_Element):
+    """sum of b_j * zeta^j with base-cycle coefficients and j < fiber rank.
 
-    __slots__ = ("ring", "coeffs")
+    Terms are keyed by (j, partition): the coefficient of sigma_partition *
+    zeta^j.  A term has degree j + |partition|.
+    """
+
+    __slots__ = ()
+    _UNIT = (0, _EMPTY)
+    _MISMATCH = "elements live on different projective bundles"
 
     def __init__(self, ring: ProjBundleRing, coeffs: tuple):
         if len(coeffs) != ring.fiber_rank:
             raise ValueError("coefficient count must equal the fiber rank")
-        self.ring = ring
-        self.coeffs = tuple(coeffs)
+        for b in coeffs:
+            if not isinstance(b, SchubertCycle) or b.ctx != ring.base.ctx:
+                raise ValueError(f"coefficients must be cycles on the base {ring.base.ctx}")
+        self._space = ring
+        self._terms = _flatten(coeffs)
+
+    @property
+    def ring(self) -> ProjBundleRing:
+        return self._space
+
+    @property
+    def coeffs(self) -> tuple:
+        """The base cycles b_0, ..., b_(r-1), computed on each read."""
+        split = [{} for _ in range(self._space.fiber_rank)]
+        for (j, lam), c in self._terms.items():
+            split[j][lam] = c
+        ctx = self._space.base.ctx
+        return tuple(SchubertCycle._trusted(ctx, t) for t in split)
 
     def _coerce(self, other):
-        if isinstance(other, PBElement):
-            if other.ring != self.ring:
-                raise ValueError("elements live on different projective bundles")
-            return other
-        if isinstance(other, int):
-            return self.ring.from_base(other * self.ring.base.one())
         if isinstance(other, SchubertCycle):
-            return self.ring.from_base(other)
-        return None
+            return self._space.from_base(other)
+        return super()._coerce(other)
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return PBElement(self.ring, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PBElement(self.ring, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return PBElement(self.ring, tuple(other * a for a in self.coeffs))
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+    def _product(self, other):
         return pb_multiply(self, other)
 
-    __rmul__ = __mul__
+    @staticmethod
+    def _degree(key):
+        return key[0] + key[1].weight
 
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("powers need a nonnegative integer exponent")
-        out = self.ring.one()
-        for _ in range(exponent):
-            out = out * self
-        return out
+    @staticmethod
+    def _order(key):
+        j, lam = key
+        weight, rest = _basis_order(lam)
+        return (weight + j, -j, rest)
 
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, SchubertCycle)):
-            other = self._coerce(other)
-        if not isinstance(other, PBElement):
-            return NotImplemented
-        return self.ring == other.ring and self.coeffs == other.coeffs
-
-    def component(self, degree: int) -> "PBElement":
-        """Homogeneous part: a term b*zeta^j has degree codim(b) + j."""
-        zero = self.ring.base.zero()
-        return PBElement(
-            self.ring,
-            tuple(c.component(degree - j) if degree - j >= 0 else zero
-                  for j, c in enumerate(self.coeffs)),
-        )
-
-    def codimensions(self) -> list[int]:
-        out = set()
-        for j, c in enumerate(self.coeffs):
-            out.update(j + d for d in c.codimensions())
-        return sorted(out)
-
-    def is_homogeneous(self) -> bool:
-        return len(self.codimensions()) <= 1
-
-    def __str__(self):
-        chunks = []
-        monomials = []
-        for j, cycle in enumerate(self.coeffs):
-            for lam, coeff in cycle.items():
-                monomials.append((lam.weight + j, j, tuple(-p for p in lam), lam, coeff))
-        for _, j, _, lam, coeff in sorted(monomials, key=lambda t: (t[0], -t[1], t[2])):
-            factors = []
-            if lam:
-                factors.append(f"sigma[{','.join(str(p) for p in lam)}]")
-            if j == 1:
-                factors.append("zeta")
-            elif j > 1:
-                factors.append(f"zeta^{j}")
-            body = "*".join(factors) if factors else "1"
-            mag = abs(coeff)
-            text = body if mag == 1 and factors else (f"{mag}*{body}" if factors else str(mag))
-            if not chunks:
-                chunks.append(text if coeff > 0 else f"-{text}")
-            else:
-                chunks.append(f"+ {text}" if coeff > 0 else f"- {text}")
-        return " ".join(chunks) if chunks else "0"
+    @staticmethod
+    def _text(key):
+        j, lam = key
+        factors = [SchubertCycle._text(lam)] if lam else []
+        if j == 1:
+            factors.append("zeta")
+        elif j > 1:
+            factors.append(f"zeta^{j}")
+        return "*".join(factors)
 
     def __repr__(self):
         return f"<PBElement {self} on {self.ring}>"
 
 
+def _flatten(cycles) -> dict:
+    return {(j, lam): c for j, b in enumerate(cycles) for lam, c in b._terms.items()}
+
+
 def pb_multiply(x: PBElement, y: PBElement) -> PBElement:
     """Product in the Chow ring of P(E): convolve in zeta, then rewrite
     zeta^j for j >= r through the defining relation, highest power first."""
-    if x.ring != y.ring:
-        raise ValueError("elements live on different projective bundles")
     ring = x.ring
+    if y.ring is not ring and y.ring != ring:
+        raise ValueError("elements live on different projective bundles")
     r = ring.fiber_rank
     zero = ring.base.zero()
     slots = [zero] * (2 * r - 1)
+    ys = y.coeffs
     for i, a in enumerate(x.coeffs):
         if not a:
             continue
-        for j, b in enumerate(y.coeffs):
+        for j, b in enumerate(ys):
             if b:
                 slots[i + j] = slots[i + j] + a * b
     rel = ring.bundle.classes
@@ -223,7 +172,7 @@ def pb_multiply(x: PBElement, y: PBElement) -> PBElement:
         slots[j] = zero
         for i in range(1, r + 1):
             slots[j - i] = slots[j - i] - c * rel[i - 1]
-    return PBElement(ring, tuple(slots[:r]))
+    return PBElement._trusted(ring, _flatten(slots[:r]))
 
 
 def pb_pushforward(x: PBElement) -> SchubertCycle:
@@ -233,7 +182,8 @@ def pb_pushforward(x: PBElement) -> SchubertCycle:
     this is the top zeta coefficient.  Codimension drops by the fiber
     dimension r - 1.
     """
-    return x.coeffs[-1]
+    top = x.ring.fiber_rank - 1
+    return SchubertCycle._trusted(x.ring.base.ctx, {lam: c for (j, lam), c in x._terms.items() if j == top})
 
 
 def pb_integrate(x: PBElement) -> int:

@@ -11,6 +11,11 @@ factor through the Giambelli determinant into special classes and applying
 the Pieri rule repeatedly.  An independent Littlewood-Richardson tableau
 rule is provided purely as a cross-check of that pipeline.
 
+Validation happens at the public constructors: Partition, SchubertCycle,
+schubert_class, pieri and dual_partition check their input, while the
+arithmetic builds its results without re-checking terms it already knows to
+be valid.  That element core is shared with the projective-bundle ring.
+
 Everything here is immutable; operations return new values.  The basis
 product cache is a functools.lru_cache, which is safe to share across
 threads.
@@ -63,6 +68,12 @@ class Partition(tuple):
         return f"Partition({tuple(self)!r})"
 
 
+def _basis_order(lam: Partition) -> tuple:
+    """Sort key of the Schubert basis: by codimension, then reverse
+    lexicographically."""
+    return (lam.weight, tuple(-p for p in lam))
+
+
 @dataclass(frozen=True)
 class GrassCtx:
     """The Grassmannian G(k, n) of k-dimensional subspaces of C^n."""
@@ -111,22 +122,147 @@ class GrassCtx:
         rec([], self.width, self.k)
         if weight is not None:
             out = [lam for lam in out if lam.weight == weight]
-        return sorted(out, key=lambda lam: (lam.weight, tuple(-p for p in lam)))
+        return sorted(out, key=_basis_order)
 
     def __str__(self):
         return f"G({self.k},{self.n})"
 
 
-class SchubertCycle:
+class _Element:
+    """Shared core of ring elements: a space handle and a dict of terms,
+    basis key -> nonzero int.
+
+    Results are built by _trusted, which skips validation: every key and
+    coefficient it receives comes from elements that were already valid.
+    A subclass supplies _UNIT (the key of the unit), _MISMATCH (the error
+    for operands from different spaces) and the hooks _product, and
+    _degree, _order and _text (per key: degree, sort key and rendered body,
+    "" for the unit); it may extend _coerce, which returns an operand as an
+    element of this space, or None.
+    """
+
+    __slots__ = ("_space", "_terms")
+
+    @classmethod
+    def _trusted(cls, space, terms: dict):
+        x = object.__new__(cls)
+        x._space = space
+        x._terms = terms
+        return x
+
+    def _coerce(self, other):
+        if isinstance(other, type(self)):
+            if other._space is not self._space and other._space != self._space:
+                raise ValueError(self._MISMATCH)
+            return other
+        if isinstance(other, int):
+            return self._trusted(self._space, {self._UNIT: other} if other else {})
+        return None
+
+    def _combine(self, other, sign: int):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        out = dict(self._terms)
+        for key, c in other._terms.items():
+            v = out.get(key, 0) + sign * c
+            if v:
+                out[key] = v
+            else:
+                del out[key]
+        return self._trusted(self._space, out)
+
+    @property
+    def terms(self) -> dict:
+        return dict(self._terms)
+
+    def items(self):
+        """Terms sorted by the basis order."""
+        return sorted(self._terms.items(), key=lambda kv: self._order(kv[0]))
+
+    def codimensions(self) -> list[int]:
+        return sorted({self._degree(key) for key in self._terms})
+
+    def component(self, degree: int):
+        """Homogeneous part of the given degree."""
+        return self._trusted(self._space, {key: c for key, c in self._terms.items()
+                                           if self._degree(key) == degree})
+
+    def is_homogeneous(self) -> bool:
+        return len(self.codimensions()) <= 1
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __neg__(self):
+        return self._trusted(self._space, {key: -c for key, c in self._terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return self._trusted(self._space, {key: other * c for key, c in self._terms.items()} if other else {})
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._product(other)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent):
+        # repeated multiplication by the base: squaring reaches basis
+        # products that repeated Pieri steps never need, and measured slower
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError("powers need a nonnegative integer exponent")
+        out = self._coerce(1)
+        for _ in range(exponent):
+            out = out * self
+        return out
+
+    def __bool__(self):
+        return bool(self._terms)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return (self._space is other._space or self._space == other._space) and self._terms == other._terms
+
+    def __str__(self):
+        chunks = []
+        for key, coeff in self.items():
+            body, mag = self._text(key), abs(coeff)
+            text = body if mag == 1 and body else (f"{mag}*{body}" if body else str(mag))
+            if not chunks:
+                chunks.append(text if coeff > 0 else f"-{text}")
+            else:
+                chunks.append(f"+ {text}" if coeff > 0 else f"- {text}")
+        return " ".join(chunks) if chunks else "0"
+
+
+_EMPTY = Partition()
+
+
+class SchubertCycle(_Element):
     """Integer linear combination of Schubert classes of a fixed G(k, n).
 
     Terms are stored as a partition -> coefficient mapping with zero
     coefficients dropped.  Any class whose partition leaves the box is
     identically zero in the ring and is never stored, so products truncate
-    above codimension k(n-k) automatically.
+    above codimension k(n-k) automatically.  The constructor validates its
+    input; arithmetic results are built trusted.
     """
 
-    __slots__ = ("ctx", "_terms")
+    __slots__ = ()
+    _UNIT = _EMPTY
+    _MISMATCH = "cycles live on different Grassmannians"
 
     def __init__(self, ctx: GrassCtx, terms=()):
         clean = {}
@@ -140,117 +276,36 @@ class SchubertCycle:
                 clean[lam] = clean.get(lam, 0) + coeff
                 if not clean[lam]:
                     del clean[lam]
-        self.ctx = ctx
+        self._space = ctx
         self._terms = clean
+
+    @property
+    def ctx(self) -> GrassCtx:
+        return self._space
 
     @classmethod
     def unit(cls, ctx: GrassCtx) -> "SchubertCycle":
-        return cls(ctx, {Partition(): 1})
+        return cls._trusted(ctx, {_EMPTY: 1})
 
     @classmethod
     def zero(cls, ctx: GrassCtx) -> "SchubertCycle":
-        return cls(ctx, {})
+        return cls._trusted(ctx, {})
 
     def coefficient(self, lam) -> int:
         return self._terms.get(Partition(lam), 0)
 
-    def items(self):
-        """Terms sorted by codimension, then reverse lexicographically."""
-        return sorted(self._terms.items(), key=lambda kv: (kv[0].weight, tuple(-p for p in kv[0])))
+    def _product(self, other):
+        return multiply(self, other)
 
-    @property
-    def terms(self) -> dict:
-        return dict(self._terms)
+    @staticmethod
+    def _degree(lam):
+        return lam.weight
 
-    def codimensions(self) -> list[int]:
-        return sorted({lam.weight for lam in self._terms})
+    _order = staticmethod(_basis_order)
 
-    def component(self, degree: int) -> "SchubertCycle":
-        """Homogeneous part of the given codimension."""
-        return SchubertCycle(self.ctx, {lam: c for lam, c in self._terms.items() if lam.weight == degree})
-
-    def is_homogeneous(self) -> bool:
-        return len(self.codimensions()) <= 1
-
-    def _coerce(self, other):
-        if isinstance(other, SchubertCycle):
-            if other.ctx != self.ctx:
-                raise ValueError("cycles live on different Grassmannians")
-            return other
-        if isinstance(other, int):
-            return SchubertCycle(self.ctx, {Partition(): other})
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self._terms)
-        for lam, c in other._terms.items():
-            out[lam] = out.get(lam, 0) + c
-        return SchubertCycle(self.ctx, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return SchubertCycle(self.ctx, {lam: -c for lam, c in self._terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            if not other:
-                return SchubertCycle.zero(self.ctx)
-            return SchubertCycle(self.ctx, {lam: other * c for lam, c in self._terms.items()})
-        if isinstance(other, SchubertCycle):
-            return multiply(self, other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("cycle powers need a nonnegative integer exponent")
-        out = SchubertCycle.unit(self.ctx)
-        for _ in range(exponent):
-            out = out * self
-        return out
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = SchubertCycle(self.ctx, {Partition(): other})
-        if not isinstance(other, SchubertCycle):
-            return NotImplemented
-        return self.ctx == other.ctx and self._terms == other._terms
-
-    def __str__(self):
-        if not self._terms:
-            return "0"
-        chunks = []
-        for lam, coeff in self.items():
-            body = f"sigma[{','.join(str(p) for p in lam)}]" if lam else "1"
-            mag = abs(coeff)
-            if mag == 1 and lam:
-                text = body
-            elif lam:
-                text = f"{mag}*{body}"
-            else:
-                text = str(mag)
-            if not chunks:
-                chunks.append(text if coeff > 0 else f"-{text}")
-            else:
-                chunks.append(f"+ {text}" if coeff > 0 else f"- {text}")
-        return " ".join(chunks)
+    @staticmethod
+    def _text(lam):
+        return f"sigma[{','.join(str(p) for p in lam)}]" if lam else ""
 
     def __repr__(self):
         return f"<SchubertCycle {self} on {self.ctx}>"
@@ -393,21 +448,21 @@ def _basis_product(ctx: GrassCtx, lam: Partition, mu: Partition):
                 break
         for nu, c in terms.items():
             acc[nu] = acc.get(nu, 0) + c
-    return tuple(sorted(((nu, c) for nu, c in acc.items() if c),
-                        key=lambda kv: (kv[0].weight, tuple(-p for p in kv[0]))))
+    return tuple(sorted(((nu, c) for nu, c in acc.items() if c), key=lambda kv: _basis_order(kv[0])))
 
 
 def multiply(x: SchubertCycle, y: SchubertCycle) -> SchubertCycle:
     """Product in the Chow ring, bilinear over the cached basis products."""
-    if x.ctx != y.ctx:
+    ctx = x._space
+    if y._space != ctx:
         raise ValueError("cycles live on different Grassmannians")
     out = {}
     for lam, a in x._terms.items():
         for mu, b in y._terms.items():
             key = (lam, mu) if lam <= mu else (mu, lam)
-            for nu, c in _basis_product(x.ctx, *key):
+            for nu, c in _basis_product(ctx, *key):
                 out[nu] = out.get(nu, 0) + a * b * c
-    return SchubertCycle(x.ctx, out)
+    return SchubertCycle._trusted(ctx, {nu: c for nu, c in out.items() if c})
 
 
 def integrate(x: SchubertCycle) -> int:

@@ -162,6 +162,25 @@ def test_tensor_line_roundtrip_and_additivity():
     assert once_twice.classes == tensor_line(e, 3 * ell).classes
 
 
+def test_tensor_line_rank_above_top_degree():
+    from curvecount.projbundle import ProjBundleRing
+
+    r24 = GrassRing(GrassCtx(2, 4))
+    pb = ProjBundleRing(r24.tautological("sub"))
+    cases = [
+        (sym_power(r24.tautological("sub_dual"), 4), r24.schubert((1,))),
+        (pb.pullback(sym_power(r24.tautological("quotient"), 5)), pb.zeta(1)),
+    ]
+    for e, ell in cases:
+        top = e.ring.top_degree
+        assert e.rank > top
+        twisted = tensor_line(e, ell)
+        assert twisted.rank == e.rank
+        assert twisted.c(1) == e.c(1) + e.rank * ell
+        assert all(not c for c in twisted.classes[top:])
+        assert tensor_line(twisted, -ell).classes == e.classes
+
+
 def test_tensor_line_by_zero_is_identity():
     e = R35.tautological("quotient")
     assert tensor_line(e, R35.zero()).classes == e.classes

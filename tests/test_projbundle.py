@@ -1,10 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvecount.chern import ChernVector, GrassRing, segre, sym_power
 from curvecount.projbundle import PBElement, ProjBundleRing, pb_integrate, pb_multiply, pb_pushforward
-from curvecount.schubert import GrassCtx, SchubertCycle, integrate, multiply, schubert_class
+from curvecount.schubert import GrassCtx, Partition, SchubertCycle, integrate, multiply, schubert_class
 
 
 def conic_ring():
@@ -180,3 +181,102 @@ def test_quintic_conic_count_through_raw_ring_ops():
     bundle = whitney_quotient(sym5, twisted)
     assert bundle.rank == 11
     assert pb_integrate(bundle.c(11)) == 609250
+
+
+CONIC_RING = conic_ring()
+
+
+@st.composite
+def conic_elements(draw):
+    basis = CONIC_RING.base.ctx.box_partitions()
+    acc = CONIC_RING.zero()
+    for lam, j, c in draw(st.lists(st.tuples(st.sampled_from(basis), st.integers(0, 7), st.integers(-3, 3)),
+                                   max_size=3)):
+        acc = acc + c * schubert_class(CONIC_RING.base.ctx, lam) * CONIC_RING.zeta(j)
+    return acc
+
+
+def assert_valid_element(x):
+    ring = x.ring
+    revalidated = tuple(SchubertCycle(b.ctx, b.terms) for b in x.coeffs)
+    assert PBElement(ring, x.coeffs) == x
+    assert PBElement(ring, revalidated) == x
+    for (j, lam), c in x.terms.items():
+        assert 0 <= j < ring.fiber_rank
+        assert isinstance(lam, Partition) and ring.base.ctx.fits(lam)
+        assert isinstance(c, int) and c != 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(conic_elements(), conic_elements(), st.integers(-4, 4), st.integers(0, 3))
+def test_trusted_results_equal_their_revalidated_copies(x, y, n, e):
+    s1 = CONIC_RING.base.schubert((1,))
+    for result in (x + y, x - y, -x, n * x, x * n, n + x, n - x, x - n, x + s1, s1 * x, x * y, x ** e):
+        assert_valid_element(result)
+
+
+def rank_one_ring():
+    base = GrassRing(GrassCtx(1, 3))
+    return ProjBundleRing(ChernVector(base, 1, (base.schubert((1,)),)))
+
+
+def test_power_is_repeated_product():
+    for pb in (taut_ring(2, 4, "sub"), conic_ring(), rank_one_ring()):
+        r = pb.fiber_rank
+        s1 = pb.from_base(pb.base.schubert((1,)))
+        for x in (pb.zeta(1), pb.zeta(1) - s1, 2 * s1 + pb.zeta(r - 1)):
+            acc = pb.one()
+            for e in range(13):
+                assert x ** e == acc
+                acc = pb_multiply(acc, x)
+        # zeta^j past the fiber rank, against a product that enters the relation once
+        for j in range(r, 2 * r + 3):
+            assert pb.zeta(j) == pb.zeta(r - 1) * pb.zeta(j - r + 1)
+    flat = rank_one_ring()
+    for j in range(5):
+        assert flat.zeta(j) == flat.from_base((-flat.base.schubert((1,))) ** j)
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("validating constructor called on an internal result")
+
+
+def test_arithmetic_never_calls_the_validating_constructors(monkeypatch):
+    pb = conic_ring()
+    s1 = pb.base.schubert((1,))
+    x = pb.zeta(2) - 2 * s1
+    y = s1 * pb.zeta(1) + 3
+    expected = [x + y, x - y, -x, 3 * x, x * y, x ** 3, pb.zeta(8), pb_pushforward(x * y)]
+    monkeypatch.setattr(SchubertCycle, "__init__", _raise)
+    monkeypatch.setattr(PBElement, "__init__", _raise)
+    assert [x + y, x - y, -x, 3 * x, x * y, x ** 3, pb.zeta(8), pb_pushforward(x * y)] == expected
+
+
+def test_products_dispatch_through_module_pb_multiply(monkeypatch):
+    import curvecount.projbundle as projbundle
+
+    calls = []
+    inner = projbundle.pb_multiply
+
+    def counting(a, b):
+        calls.append(1)
+        return inner(a, b)
+
+    pb = taut_ring(2, 5, "sub")
+    x, y = pb.zeta(1), pb.from_base(pb.base.schubert((1,)))
+    monkeypatch.setattr(projbundle, "pb_multiply", counting)
+    x * y
+    assert len(calls) == 1
+    x ** 3
+    assert len(calls) == 4
+
+
+def test_coefficients_must_be_cycles_on_the_base():
+    pb = taut_ring(2, 4, "sub")
+    other = schubert_class(GrassCtx(2, 5), (1,))
+    with pytest.raises(ValueError):
+        PBElement(pb, (other, pb.base.zero()))
+    with pytest.raises(ValueError):
+        pb.from_base(other)
+    with pytest.raises(ValueError):
+        pb.zeta(1) + other

@@ -266,3 +266,76 @@ def test_ring_laws_on_random_cycles():
         assert x * y == y * x
         assert (x * y) * z == x * (y * z)
         assert x * (y + z) == x * y + x * z
+
+
+SMALL_CTXS = (G24, G25, G36, GrassCtx(1, 4))
+
+
+@st.composite
+def cycles_on(draw, ctx):
+    basis = ctx.box_partitions()
+    terms = draw(st.lists(st.tuples(st.sampled_from(basis), st.integers(-3, 3)), max_size=4))
+    return SchubertCycle(ctx, terms)
+
+
+@st.composite
+def cycle_operands(draw):
+    ctx = draw(st.sampled_from(SMALL_CTXS))
+    return draw(cycles_on(ctx)), draw(cycles_on(ctx)), draw(st.integers(-4, 4)), draw(st.integers(0, 4))
+
+
+def assert_valid_cycle(x):
+    assert SchubertCycle(x.ctx, x.terms) == x
+    for lam, c in x.terms.items():
+        assert isinstance(lam, Partition) and x.ctx.fits(lam)
+        assert isinstance(c, int) and c != 0
+
+
+@given(cycle_operands())
+def test_trusted_results_equal_their_revalidated_copies(operands):
+    x, y, n, e = operands
+    for result in (x + y, x - y, -x, n * x, x * n, n + x, n - x, x - n, x * y, x ** e, (x + n) * y):
+        assert_valid_cycle(result)
+
+
+def test_power_is_repeated_product():
+    rng = random.Random(5)
+    for ctx in (G25, G36, GrassCtx(2, 6)):
+        basis = ctx.box_partitions()
+        for _ in range(3):
+            x = sum((rng.randint(-2, 2) * schubert_class(ctx, rng.choice(basis)) for _ in range(3)),
+                    SchubertCycle.zero(ctx))
+            acc = SchubertCycle.unit(ctx)
+            for e in range(13):
+                assert x ** e == acc
+                acc = multiply(acc, x)
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("validating constructor called on an internal result")
+
+
+def test_arithmetic_never_calls_the_validating_constructor(monkeypatch):
+    x = schubert_class(G36, (2, 1)) - 2 * schubert_class(G36, (1,))
+    y = schubert_class(G36, (1, 1)) + 3
+    expected = [x + y, x - y, -x, 3 * x, x * y, x ** 3, x.component(1)]
+    monkeypatch.setattr(SchubertCycle, "__init__", _raise)
+    assert [x + y, x - y, -x, 3 * x, x * y, x ** 3, x.component(1)] == expected
+
+
+def test_products_dispatch_through_module_multiply(monkeypatch):
+    import curvecount.schubert as schubert
+
+    calls = []
+    inner = schubert.multiply
+
+    def counting(a, b):
+        calls.append(1)
+        return inner(a, b)
+
+    x, y = schubert_class(G25, (1,)), schubert_class(G25, (2,))
+    monkeypatch.setattr(schubert, "multiply", counting)
+    x * y
+    assert len(calls) == 1
+    x ** 3
+    assert len(calls) == 4
