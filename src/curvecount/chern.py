@@ -181,11 +181,11 @@ def _sym_chern_polys(r: int, m: int, top: int) -> tuple:
 
 @dataclass(frozen=True)
 class ChernVector:
-    """A bundle presented by its Chern classes c_1..c_rank in a graded ring.
+    """A bundle presented by its Chern classes in a graded ring.
 
-    classes[i] is c_{i+1}; c_0 is the ring unit implicitly.  rank may
-    exceed the ring's top degree, in which case the excess classes are the
-    zero element.
+    classes[i] is c_{i+1}, stored for i < min(rank, top degree); c_0 is the
+    ring unit implicitly, and classes above the ring's top degree vanish and
+    are not stored, so rank may be arbitrarily large.
     """
 
     ring: GradedRing
@@ -195,29 +195,30 @@ class ChernVector:
     def __post_init__(self):
         if self.rank < 0:
             raise ValueError("rank must be nonnegative")
-        if len(self.classes) != self.rank:
-            raise ValueError(f"expected {self.rank} classes, got {len(self.classes)}")
+        depth = min(self.rank, self.ring.top_degree)
+        if len(self.classes) != depth:
+            raise ValueError(f"expected {depth} classes, got {len(self.classes)}")
 
     @classmethod
     def trivial(cls, ring: GradedRing, rank: int) -> "ChernVector":
-        return cls(ring, rank, tuple(ring.zero() for _ in range(rank)))
+        return cls(ring, rank, tuple(ring.zero() for _ in range(min(rank, ring.top_degree))))
 
     def c(self, i: int):
-        """c_i, with c_0 = 1 and c_i = 0 above the rank."""
+        """c_i, with c_0 = 1 and c_i = 0 above the rank or the top degree."""
         if i == 0:
             return self.ring.one()
-        if 1 <= i <= self.rank:
+        if 1 <= i <= len(self.classes):
             return self.classes[i - 1]
-        if i > self.rank:
+        if i > 0:
             return self.ring.zero()
         raise ValueError("negative Chern index")
 
     def total_series(self, top: int) -> list:
-        """[c_0, c_1, ..., c_top] padded with zeros above the rank."""
+        """[c_0, c_1, ..., c_top] padded with zeros above the stored classes."""
         return [self.c(i) for i in range(top + 1)]
 
     def total(self):
-        """The inhomogeneous total class 1 + c_1 + ... + c_rank."""
+        """The inhomogeneous total class 1 + c_1 + c_2 + ..."""
         acc = self.ring.one()
         for c in self.classes:
             acc = acc + c
@@ -253,7 +254,7 @@ def sym_power(e: ChernVector, m: int) -> ChernVector:
 
     The polynomials of _sym_chern_polys, truncated at the ring's top degree,
     are evaluated at the classes of e; each monomial is one ring product of a
-    smaller monomial and one class.  Classes above the top degree are zero.
+    smaller monomial and one class.
     """
     if not isinstance(m, int) or m < 0:
         raise ValueError(f"symmetric power must be a nonnegative integer, got {m}")
@@ -279,7 +280,6 @@ def sym_power(e: ChernVector, m: int) -> ChernVector:
         for expo, coeff in poly.items():
             acc = acc + coeff * monomial(expo)
         classes.append(acc)
-    classes += [ring.zero()] * (rank - len(classes))
     return ChernVector(ring, rank, tuple(classes))
 
 
@@ -293,8 +293,7 @@ def tensor_line(e: ChernVector, ell) -> ChernVector:
     """Twist by a line bundle with first Chern class ell.
 
     c_i(E (x) L) = sum_j binom(rank - j, i - j) c_j(E) ell^(i-j).
-    ell must be homogeneous of degree 1 (or zero).  Classes above the
-    ring's top degree are zero.
+    ell must be homogeneous of degree 1 (or zero).
     """
     ring = e.ring
     if ell.component(1) != ell:
@@ -312,14 +311,16 @@ def tensor_line(e: ChernVector, ell) -> ChernVector:
             if factor:
                 acc = acc + factor * (e.c(j) * ell_pow[i - j])
         classes.append(acc)
-    classes += [ring.zero()] * (r - top)
     return ChernVector(ring, r, tuple(classes))
 
 
 def direct_sum(*bundles: ChernVector) -> ChernVector:
-    """Whitney sum: total classes multiply."""
+    """Whitney sum: total classes multiply.  A single summand is returned
+    unchanged."""
     if not bundles:
         raise ValueError("need at least one summand")
+    if len(bundles) == 1:
+        return bundles[0]
     ring = bundles[0].ring
     if any(b.ring != ring for b in bundles):
         raise ValueError("summands live in different rings")
@@ -328,8 +329,7 @@ def direct_sum(*bundles: ChernVector) -> ChernVector:
     series = [ring.one()] + [ring.zero()] * top
     for b in bundles:
         series = _series_mul(series, b.total_series(top), ring, top)
-    classes = tuple(series[1:]) + tuple(ring.zero() for _ in range(rank - top))
-    return ChernVector(ring, rank, classes)
+    return ChernVector(ring, rank, tuple(series[1:]))
 
 
 def whitney_quotient(f: ChernVector, s: ChernVector) -> ChernVector:
@@ -348,8 +348,8 @@ def whitney_quotient(f: ChernVector, s: ChernVector) -> ChernVector:
     top = ring.top_degree
     quot = _series_mul(f.total_series(top), _series_inv(s.total_series(top), ring, top), ring, top)
     depth = min(rank, top)
-    classes = tuple(quot[1 : depth + 1]) + tuple(ring.zero() for _ in range(rank - depth))
-    back = _series_mul(s.total_series(depth), [ring.one()] + list(classes[:depth]), ring, depth)
+    classes = tuple(quot[1 : depth + 1])
+    back = _series_mul(s.total_series(depth), [ring.one(), *classes], ring, depth)
     if back != f.total_series(depth):
         raise ArithmeticError("Whitney series division failed its own check")
     return ChernVector(ring, rank, classes)

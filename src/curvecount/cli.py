@@ -3,7 +3,7 @@
 Subcommands
 -----------
 grass EXPR            evaluate an intersection-theory expression
-count lines|conics    run a curve-counting recipe
+count lines|conics    count curves on a complete intersection
 equivalence           bookkeeping weights for families and multiple covers
 ledger check [FILE]   verify degeneration ledgers (builtin set by default)
 verify --suite NAME   run a self-check suite
@@ -22,6 +22,7 @@ import time
 from . import dsl
 from .recipes import (
     builtin_ledgers,
+    conics_on_complete_intersection,
     conics_on_quintic_type,
     equivalence_unobstructed,
     ledger_check,
@@ -49,6 +50,9 @@ def _int_list(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}") from None
 
 
+_COUNTERS = {"lines": lines_on_complete_intersection, "conics": conics_on_complete_intersection}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="curvecount", description="Exact curve counts via Chern class integrals.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
@@ -59,16 +63,17 @@ def build_parser() -> _Parser:
 
     p_count = sub.add_parser("count", help="run a counting recipe")
     count_sub = p_count.add_subparsers(dest="recipe", required=True, metavar="recipe")
-    p_lines = count_sub.add_parser("lines", parents=[_json_flag()],
-                                   help="lines on a complete intersection")
-    p_lines.add_argument("--ambient", type=int, required=True, metavar="N",
-                         help="dimension of the ambient projective space")
-    p_lines.add_argument("--degrees", type=_int_list, required=True, metavar="d1,d2,...",
-                         help="degrees of the defining equations")
-    p_conics = count_sub.add_parser("conics", parents=[_json_flag()],
-                                    help="conics on a hypersurface in P^4")
-    p_conics.add_argument("--degree", type=int, required=True, metavar="d",
-                          help="degree of the hypersurface")
+    intersection = argparse.ArgumentParser(add_help=False)
+    intersection.add_argument("--ambient", type=int, metavar="N",
+                              help="dimension of the ambient projective space")
+    intersection.add_argument("--degrees", type=_int_list, metavar="d1,d2,...",
+                              help="degrees of the defining equations")
+    for curve in _COUNTERS:
+        p_curve = count_sub.add_parser(curve, parents=[_json_flag(), intersection],
+                                       help=f"{curve} on a complete intersection")
+        if curve == "conics":
+            p_curve.add_argument("--degree", type=int, metavar="d",
+                                 help="shorthand for --ambient 4 --degrees d")
 
     p_equiv = sub.add_parser("equivalence", parents=[_json_flag()],
                              help="contribution of a family or a multiple cover")
@@ -147,11 +152,17 @@ def _report_payload(report, elapsed: float) -> dict:
 
 def _cmd_count(args) -> int:
     start = time.perf_counter()
+    given = args.ambient is not None, args.degrees is not None
     try:
-        if args.recipe == "lines":
-            report = lines_on_complete_intersection(args.ambient, args.degrees)
-        else:
+        if getattr(args, "degree", None) is not None:
+            if any(given):
+                raise ValueError("--degree is shorthand for --ambient 4 --degrees d; do not combine them")
             report = conics_on_quintic_type(args.degree)
+        elif all(given):
+            report = _COUNTERS[args.recipe](args.ambient, args.degrees)
+        else:
+            alternative = " (or --degree)" if args.recipe == "conics" else ""
+            raise ValueError(f"count {args.recipe} needs --ambient and --degrees{alternative}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -23,8 +23,10 @@ Grammar (LL(1), whitespace insensitive):
 
 sigma[...] names a Schubert class of the base Grassmannian, zeta the
 hyperplane class of a projective-bundle context, and twist(B, p) tensors B
-by the p-th power of O_P(1).  Parsing and evaluation never mutate anything;
-errors carry positions and the expected-token set.
+by the p-th power of O_P(1).  In a projective-bundle context a bundle
+without a twist is computed on the base and pulled back once.  Parsing and
+evaluation never mutate anything; errors carry positions and the
+expected-token set.
 
 Size caps.  Legal queries can ask for more than a process can compute, so
 evaluate() rejects a query past one of these caps with an EvalError before
@@ -533,11 +535,20 @@ def _resolve_context(node):
         raise EvalError(str(exc)) from None
 
 
+def _has_twist(node) -> bool:
+    if isinstance(node, Twist):
+        return True
+    if isinstance(node, Quotient):
+        return _has_twist(node.numerator) or _has_twist(node.denominator)
+    return isinstance(node, (Sym, Dual)) and _has_twist(node.bundle)
+
+
 def _eval_bundle(node, ring) -> ChernVector:
+    if isinstance(ring, ProjBundleRing) and not _has_twist(node):
+        # pulled back from the base: compute there, with base products
+        return ring.pullback(_eval_bundle(node, ring.base))
     if isinstance(node, BundleAtom):
         which = {"S": "sub", "Sdual": "sub_dual", "Q": "quotient"}[node.name]
-        if isinstance(ring, ProjBundleRing):
-            return ring.pullback(ring.base.tautological(which))
         return ring.tautological(which)
     if isinstance(node, Sym):
         return sym_power(_eval_bundle(node.bundle, ring), node.power)

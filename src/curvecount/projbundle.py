@@ -62,10 +62,14 @@ class ProjBundleRing(GradedRing):
         return self.zeta(1) ** power
 
     def pullback(self, bundle: ChernVector) -> ChernVector:
-        """Pullback of a Chern vector from the base."""
+        """Pullback of a Chern vector from the base.  Classes above the base's
+        top degree vanish there, so they pull back to zero."""
         if bundle.ring != self.base:
             raise ValueError("bundle does not live on the base of this projective bundle")
-        return ChernVector(self, bundle.rank, tuple(self.from_base(c) for c in bundle.classes))
+        depth = min(bundle.rank, self.top_degree)
+        classes = [self.from_base(c) for c in bundle.classes]
+        classes += [self.zero()] * (depth - len(classes))
+        return ChernVector(self, bundle.rank, tuple(classes))
 
     def integrate(self, x: "PBElement") -> int:
         return pb_integrate(x)
@@ -164,14 +168,15 @@ def pb_multiply(x: PBElement, y: PBElement) -> PBElement:
         for j, b in enumerate(ys):
             if b:
                 slots[i + j] = slots[i + j] + a * b
+    # c_i(E) above the base's top degree are zero and not stored
     rel = ring.bundle.classes
     for j in range(2 * r - 2, r - 1, -1):
         c = slots[j]
         if not c:
             continue
         slots[j] = zero
-        for i in range(1, r + 1):
-            slots[j - i] = slots[j - i] - c * rel[i - 1]
+        for i, ci in enumerate(rel, 1):
+            slots[j - i] = slots[j - i] - c * ci
     return PBElement._trusted(ring, _flatten(slots[:r]))
 
 

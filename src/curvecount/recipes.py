@@ -1,17 +1,19 @@
 """Curve-counting pipelines on Calabi-Yau threefolds and the bookkeeping
 for degenerate families.
 
-The two computational recipes express an incidence condition as a bundle on
-a moduli space of linear subspaces and integrate its top Chern class:
+One recipe counts lines and conics on a complete intersection of degrees
+d_1, ..., d_s in P^N.  It expresses containment as a bundle on a moduli
+space built from G(e+1, N+1), e the curve degree, and integrates its top
+Chern class:
 
-* lines on a complete intersection in P^N live on G(2, N+1), with the
-  condition bundle the sum of Sym^d of the dual tautological sub-bundle;
-* conics in P^4 live on the projectivization of Sym^2(S*) over G(3, 5),
-  with the condition bundle the quotient of Sym^d(S*) by the conic's ideal
-  in each degree.
+* lines live on G(2, N+1), and each equation contributes Sym^d(S*);
+* conics live on P(Sym^2 S*) over G(3, N+1), the conics in each plane, and
+  each equation contributes the quotient of Sym^d(S*) by the multiples of
+  the conic's equation, Sym^(d-2)(S*) (x) O(-1).
 
-When the bundle rank fails to match the moduli dimension the recipe reports
-the dimension of the expected family instead of a count.  The remaining
+A degree-d equation adds rank e*d + 1.  Rank and moduli dimension follow from
+the inputs alone, so when they differ the recipe reports the dimension of
+the expected family without building any ring.  The remaining
 entry points are the exact bookkeeping rules for families and degenerations:
 normal-bundle splitting types on a rational curve, family equivalences, the
 1/m^3 multiple-cover weight, and validation of degeneration ledgers whose
@@ -26,15 +28,8 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
-from .chern import (
-    ChernVector,
-    GrassRing,
-    direct_sum,
-    sym_power,
-    tensor_line,
-    whitney_quotient,
-)
-from .projbundle import ProjBundleRing, pb_integrate
+from .chern import GrassRing, _series_mul, direct_sum, sym_power, tensor_line, whitney_quotient
+from .projbundle import ProjBundleRing
 from .schubert import GrassCtx
 
 
@@ -83,18 +78,47 @@ class CountReport:
 
 
 @lru_cache(maxsize=None)
-def _lines_impl(ambient_dim: int, degrees: tuple) -> CountReport:
-    ctx = GrassCtx(2, ambient_dim + 1)
-    ring = GrassRing(ctx)
-    sub_dual = ring.tautological("sub_dual")
-    bundle = direct_sum(*(sym_power(sub_dual, d) for d in degrees))
-    rank = bundle.rank
-    dim = ctx.dim
+def _count(curve: str, ambient_dim: int, degrees: tuple) -> CountReport:
+    e = 1 if curve == "lines" else 2
+    rank = sum(e * d + 1 for d in degrees)
+    dim = 2 * (ambient_dim - 1) if e == 1 else 3 * (ambient_dim - 2) + 5
     calabi_yau = sum(degrees) == ambient_dim + 1
-    if rank == dim:
-        count = ring.integrate(bundle.classes[rank - 1])
-        return CountReport("lines", ambient_dim, degrees, dim, rank, count, None, calabi_yau)
-    return CountReport("lines", ambient_dim, degrees, dim, rank, None, dim - rank, calabi_yau)
+    if rank != dim:
+        return CountReport(curve, ambient_dim, degrees, dim, rank, None, dim - rank, calabi_yau)
+
+    base = GrassRing(GrassCtx(e + 1, ambient_dim + 1))
+    sub_dual = base.tautological("sub_dual")
+    if e == 1:
+        ring = base
+        summands = [sym_power(sub_dual, d) for d in degrees]
+    else:
+        ring = ProjBundleRing(sym_power(sub_dual, 2))
+        top = ring.top_degree
+        summands = []
+        for d in degrees:
+            forms = ring.pullback(sym_power(sub_dual, d))
+            if d == 1:
+                summands.append(forms)
+                continue
+            ideal_part = tensor_line(ring.pullback(sym_power(sub_dual, d - 2)), -ring.zeta(1))
+            quotient = whitney_quotient(forms, ideal_part)
+            # Whitney consistency through the whole ring, not just the quotient rank
+            lhs = _series_mul(ideal_part.total_series(top), quotient.total_series(top), ring, top)
+            if lhs != forms.total_series(top):
+                raise ArithmeticError("quotient bundle fails the Whitney identity")
+            summands.append(quotient)
+    bundle = direct_sum(*summands)
+    count = ring.integrate(bundle.c(rank))
+    return CountReport(curve, ambient_dim, degrees, dim, rank, count, None, calabi_yau)
+
+
+def _complete_intersection_degrees(ambient_dim, degrees) -> tuple:
+    if not isinstance(ambient_dim, int) or ambient_dim < 3:
+        raise ValueError(f"ambient projective dimension must be an integer >= 3, got {ambient_dim}")
+    degrees = tuple(int(d) for d in degrees)
+    if not degrees or any(d < 1 for d in degrees):
+        raise ValueError(f"hypersurface degrees must be positive integers, got {degrees}")
+    return degrees
 
 
 def lines_on_complete_intersection(ambient_dim: int, degrees) -> CountReport:
@@ -106,58 +130,33 @@ def lines_on_complete_intersection(ambient_dim: int, degrees) -> CountReport:
     lines form a family of the reported dimension.  The calabi_yau flag
     records whether the degrees sum to N+1.
     """
-    if not isinstance(ambient_dim, int) or ambient_dim < 3:
-        raise ValueError(f"ambient projective dimension must be an integer >= 3, got {ambient_dim}")
-    degrees = tuple(int(d) for d in degrees)
-    if not degrees or any(d < 1 for d in degrees):
-        raise ValueError(f"hypersurface degrees must be positive integers, got {degrees}")
-    return _lines_impl(ambient_dim, degrees)
+    return _count("lines", ambient_dim, _complete_intersection_degrees(ambient_dim, degrees))
 
 
-@lru_cache(maxsize=None)
-def _conics_impl(degree: int) -> CountReport:
-    ctx = GrassCtx(3, 5)
-    ring = GrassRing(ctx)
-    sub_dual = ring.tautological("sub_dual")
-    conic_moduli = ProjBundleRing(sym_power(sub_dual, 2))
-    total_dim = conic_moduli.top_degree
+def conics_on_complete_intersection(ambient_dim: int, degrees) -> CountReport:
+    """Conics on a generic complete intersection of the given degrees in P^N.
 
-    quintic_forms = conic_moduli.pullback(sym_power(sub_dual, degree))
-    ideal_part = tensor_line(
-        conic_moduli.pullback(sym_power(sub_dual, degree - 2)),
-        -conic_moduli.zeta(1),
-    )
-    bundle = whitney_quotient(quintic_forms, ideal_part)
-
-    # Whitney consistency through the whole ring, not just the quotient rank
-    top = conic_moduli.top_degree
-    from .chern import _series_mul
-
-    lhs = _series_mul(ideal_part.total_series(top), bundle.total_series(top), conic_moduli, top)
-    if lhs != quintic_forms.total_series(top):
-        raise ArithmeticError("quotient bundle fails the Whitney identity")
-
-    rank = bundle.rank
-    calabi_yau = degree == 5
-    if rank == total_dim:
-        count = pb_integrate(bundle.classes[rank - 1])
-        return CountReport("conics", 4, (degree,), total_dim, rank, count, None, calabi_yau)
-    return CountReport("conics", 4, (degree,), total_dim, rank, None, total_dim - rank, calabi_yau)
+    A conic spans a plane, so the moduli space is the P^5-bundle of conics
+    in the varying plane: the projectivization of Sym^2(S*) over G(3, N+1),
+    of dimension 3(N-2) + 5.  A degree-d equation cuts the rank 2d+1
+    quotient of Sym^d(S*) by Sym^(d-2)(S*) twisted by the conic's equation
+    line (Sym^1(S*) itself for d = 1).  Counts and families are reported as
+    for lines.
+    """
+    return _count("conics", ambient_dim, _complete_intersection_degrees(ambient_dim, degrees))
 
 
 def conics_on_quintic_type(degree: int) -> CountReport:
     """Conics on a generic degree-d hypersurface in P^4.
 
-    A conic spans a plane, so the moduli space is the P^5-bundle of conics
-    in the varying plane: the projectivization of Sym^2(S*) over G(3, 5),
-    of dimension 11.  Containment in a degree-d hypersurface is cut by the
-    rank 2d+1 quotient of Sym^d(S*) by Sym^(d-2)(S*) twisted by the conic's
-    equation line.  d = 5 balances rank and dimension and yields the count;
-    other degrees report the family dimension 11 - (2d+1).
+    The moduli space has dimension 11 and the condition bundle rank 2d+1
+    (see conics_on_complete_intersection).  d = 5 balances rank and
+    dimension and yields the count; other degrees report the family
+    dimension 11 - (2d+1).
     """
     if not isinstance(degree, int) or degree < 2:
         raise ValueError(f"hypersurface degree must be an integer >= 2, got {degree}")
-    return _conics_impl(degree)
+    return _count("conics", 4, (degree,))
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from .projbundle import ProjBundleRing, pb_integrate, pb_pushforward
 from .recipes import (
     builtin_ledgers,
     clemens_excess,
+    conics_on_complete_intersection,
     conics_on_quintic_type,
     equivalence_unobstructed,
     ledger_check,
@@ -85,17 +86,24 @@ def _small_contexts() -> list:
 def _classical_suite() -> list:
     results = []
 
-    line_goldens = [
-        ((4, (5,)), 2875),
-        ((3, (3,)), 27),
-        ((7, (2, 2, 2, 2)), 512),
-        ((6, (2, 2, 3)), 720),
-        ((5, (3, 3)), 1053),
-        ((5, (2, 4)), 1280),
+    counters = {"lines": lines_on_complete_intersection, "conics": conics_on_complete_intersection}
+    goldens = [
+        ("lines", 4, (5,), 2875),
+        ("lines", 3, (3,), 27),
+        ("lines", 7, (2, 2, 2, 2), 512),
+        ("lines", 6, (2, 2, 3), 720),
+        ("lines", 5, (3, 3), 1053),
+        ("lines", 5, (2, 4), 1280),
+        # Libgober and Teitelbaum's degree-2 counts on the other Calabi-Yau
+        # complete intersections
+        ("conics", 5, (3, 3), 52812),
+        ("conics", 5, (2, 4), 92288),
+        ("conics", 6, (2, 2, 3), 22428),
+        ("conics", 7, (2, 2, 2, 2), 9728),
     ]
-    for (ambient, degrees), expected in line_goldens:
-        report = lines_on_complete_intersection(ambient, degrees)
-        label = "lines-" + "x".join(str(d) for d in degrees) + f"-in-P{ambient}"
+    for curve, ambient, degrees, expected in goldens:
+        report = counters[curve](ambient, degrees)
+        label = f"{curve}-" + "x".join(str(d) for d in degrees) + f"-in-P{ambient}"
         results.append(_check(label, expected, report.count))
 
     results.append(_check("conics-5-in-P4", 609250, conics_on_quintic_type(5).count))
@@ -359,6 +367,24 @@ def _projection_formula_check(rng) -> CheckResult:
     return _bulk("projection-formula", cases, failures)
 
 
+def _hyperplane_check() -> CheckResult:
+    """A degree-1 equation one dimension up cuts out the same variety, so
+    it leaves every count unchanged."""
+    cases, failures = 0, []
+    for recipe, ambient, degrees, extra in (
+        (lines_on_complete_intersection, 4, (5,), 2),
+        (conics_on_complete_intersection, 4, (5,), 2),
+        (conics_on_complete_intersection, 5, (3, 3), 1),
+    ):
+        want = recipe(ambient, degrees).count
+        for i in range(1, extra + 1):
+            cases += 1
+            got = recipe(ambient + i, (1,) * i + degrees).count
+            if got != want:
+                failures.append(f"{recipe.__name__} {(1,) * i + degrees} in P^{ambient + i}: {got}, want {want}")
+    return _bulk("hyperplane-section-invariance", cases, failures)
+
+
 def _properties_suite(seed: int) -> list:
     rng = random.Random(seed)
     contexts = _small_contexts()
@@ -374,6 +400,7 @@ def _properties_suite(seed: int) -> list:
         _grothendieck_check(),
         _pushforward_check(),
         _projection_formula_check(rng),
+        _hyperplane_check(),
     ]
 
 

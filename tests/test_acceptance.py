@@ -11,8 +11,7 @@ from fractions import Fraction
 
 from curvecount.chern import _sym_chern_polys
 from curvecount.recipes import (
-    _conics_impl,
-    _lines_impl,
+    _count,
     builtin_ledgers,
     clemens_excess,
     conics_on_quintic_type,
@@ -31,8 +30,7 @@ from curvecount.suites import _small_contexts, run_suite
 def _cold_caches():
     _basis_product.cache_clear()
     _sym_chern_polys.cache_clear()
-    _lines_impl.cache_clear()
-    _conics_impl.cache_clear()
+    _count.cache_clear()
 
 
 def test_criterion_01_quintic_line_count():

@@ -1,5 +1,9 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,7 @@ from curvecount.chern import (
     tensor_line,
     whitney_quotient,
 )
+import curvecount
 from curvecount.schubert import GrassCtx, SchubertCycle
 
 R25 = GrassRing(GrassCtx(2, 5))
@@ -177,7 +182,7 @@ def test_tensor_line_rank_above_top_degree():
         twisted = tensor_line(e, ell)
         assert twisted.rank == e.rank
         assert twisted.c(1) == e.c(1) + e.rank * ell
-        assert all(not c for c in twisted.classes[top:])
+        assert all(not twisted.c(i) for i in range(top + 1, e.rank + 1))
         assert tensor_line(twisted, -ell).classes == e.classes
 
 
@@ -232,3 +237,35 @@ def test_direct_sum_rank_and_commutativity():
     ba = direct_sum(b, a)
     assert ab.rank == 5
     assert ab.classes == ba.classes
+
+
+def test_classes_stop_at_the_top_degree():
+    q = R25.tautological("quotient")
+    for e in (sym_power(q, 3), tensor_line(sym_power(q, 3), R25.schubert((1,))), direct_sum(q, q, q)):
+        assert e.rank > R25.top_degree
+        assert len(e.classes) == R25.top_degree
+        assert not e.c(e.rank)
+    assert len(whitney_quotient(sym_power(q, 3), q).classes) == R25.top_degree
+    assert ChernVector.trivial(R25, 10).classes == (R25.zero(),) * R25.top_degree
+    with pytest.raises(ValueError):
+        ChernVector(R25, 10, (R25.zero(),) * 10)
+
+
+_HUGE_SYM_POWER = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from curvecount.chern import GrassRing, sym_power
+from curvecount.schubert import GrassCtx
+e = sym_power(sym_power(GrassRing(GrassCtx(2, 5)).tautological("quotient"), 12), 12)
+print(e.rank, len(e.classes), e.c(1))
+"""
+
+
+def test_sym_power_of_huge_rank_stores_only_the_top_degree():
+    # rank 1.35e15: one stored class per unit of rank cannot fit in 1 GiB
+    src = str(Path(curvecount.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _HUGE_SYM_POWER], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    c1 = math.comb(102, 91) * math.comb(14, 3)  # c_1(Sym^m E) = binom(m + r - 1, r) c_1(E)
+    assert proc.stdout.split() == [str(math.comb(102, 90)), "6", f"{c1}*sigma[1]"]

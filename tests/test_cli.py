@@ -110,6 +110,39 @@ def test_count_conics_json(capsys):
     assert payload["recipe"] == "conics"
 
 
+def test_count_conics_ci_json(capsys):
+    code, payload = run_json(capsys, "count", "conics", "--json", "--ambient", "5", "--degrees", "3,3")
+    assert code == 0
+    assert payload["outcome"] == {"count": 52812}
+    assert (payload["moduli_dim"], payload["bundle_rank"]) == (14, 14)
+    assert payload["calabi_yau"] is True
+
+
+def test_count_conics_degree_is_quintic_shorthand(capsys):
+    _, short = run_json(capsys, "count", "conics", "--json", "--degree", "3")
+    _, full = run_json(capsys, "count", "conics", "--json", "--ambient", "4", "--degrees", "3")
+    short.pop("timings_ms"), full.pop("timings_ms")
+    assert short == full
+    assert short["outcome"] == {"family_dimension": 4}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["conics", "--degree", "5", "--degrees", "5"],
+        ["conics", "--degree", "5", "--ambient", "4"],
+        ["conics"],
+        ["lines", "--degrees", "5"],
+        ["lines", "--ambient", "4"],
+    ],
+)
+def test_count_flag_combinations_exit_one(capsys, argv):
+    code, out, err = run_cli(capsys, "count", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_count_bad_input_exits_one(capsys):
     code, _, err = run_cli(capsys, "count", "lines", "--ambient", "2", "--degrees", "5")
     assert code == 1

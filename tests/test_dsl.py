@@ -194,6 +194,24 @@ def test_size_caps_admit_the_largest_supported_queries():
     assert evaluate(f"c(1, sym({dsl.MAX_SYM_POWER}, S)) in G(2,{dsl.MAX_DIMENSION // 2 + 2})").kind == "cycle"
 
 
+def test_untwisted_bundles_are_computed_on_the_base(monkeypatch):
+    import curvecount.projbundle as projbundle
+
+    calls = []
+    inner = projbundle.pb_multiply
+
+    def counting(a, b):
+        calls.append(1)
+        return inner(a, b)
+
+    monkeypatch.setattr(projbundle, "pb_multiply", counting)
+    assert evaluate("c(2, sym(3, Q)) in P(S) over G(2,6)").rendered == "120*sigma[2] + 99*sigma[1,1]"
+    assert calls == []
+    # a twist still needs zeta, so the twisted node is computed upstairs
+    assert evaluate("c(1, twist(sym(3, Q), 1)) in P(S) over G(2,8)").rendered == "56*zeta + 28*sigma[1]"
+    assert calls
+
+
 def test_evaluate_cycle_results():
     result = evaluate("sigma[1]*sigma[1] in G(2,4)")
     assert result.kind == "cycle"

@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from curvecount import recipes
 from curvecount.recipes import (
     CountReport,
     DegenerationLedger,
     LedgerComponent,
     builtin_ledgers,
     clemens_excess,
+    conics_on_complete_intersection,
     conics_on_quintic_type,
     equivalence_unobstructed,
     equivalence_zero_dim,
@@ -95,6 +97,61 @@ def test_conics_input_validation():
         conics_on_quintic_type(1)
     with pytest.raises(ValueError):
         conics_on_quintic_type(0)
+    for ambient, degrees in ((2, [5]), (4, []), (4, [0]), ("4", [5])):
+        with pytest.raises(ValueError):
+            conics_on_complete_intersection(ambient, degrees)
+
+
+def test_unbalanced_recipe_builds_no_bundle(monkeypatch):
+    def no_bundle(*args):
+        raise AssertionError("built a bundle for an unbalanced recipe")
+
+    recipes._count.cache_clear()
+    monkeypatch.setattr(recipes, "sym_power", no_bundle)
+    report = conics_on_quintic_type(9)
+    assert (report.moduli_dim, report.bundle_rank, report.family_dimension) == (11, 19, -8)
+    assert lines_on_complete_intersection(4, [6]).family_dimension == -1
+    assert conics_on_complete_intersection(4, [1]).family_dimension == 8  # conics in a P^3
+
+
+# Libgober and Teitelbaum's degree-2 counts on Calabi-Yau complete intersections
+CALABI_YAU_CONIC_COUNTS = [
+    (4, (5,), 609250),
+    (5, (3, 3), 52812),
+    (5, (2, 4), 92288),
+    (6, (2, 2, 3), 22428),
+    (7, (2, 2, 2, 2), 9728),
+]
+
+
+@pytest.mark.parametrize("ambient,degrees,expected", CALABI_YAU_CONIC_COUNTS)
+def test_calabi_yau_conic_counts(ambient, degrees, expected):
+    report = conics_on_complete_intersection(ambient, degrees)
+    assert report.count == expected
+    assert report.moduli_dim == report.bundle_rank == 3 * (ambient - 2) + 5
+    assert report.calabi_yau
+
+
+def test_quintic_shorthand_matches_the_general_recipe():
+    assert conics_on_quintic_type(5) == conics_on_complete_intersection(4, [5])
+    assert conics_on_quintic_type(3) == conics_on_complete_intersection(4, (3,))
+
+
+@pytest.mark.parametrize(
+    "recipe,ambient,degrees,expected",
+    [
+        (lines_on_complete_intersection, 5, (1, 5), 2875),
+        (lines_on_complete_intersection, 6, (1, 1, 5), 2875),
+        (conics_on_complete_intersection, 5, (1, 5), 609250),
+        (conics_on_complete_intersection, 6, (1, 1, 5), 609250),
+        (conics_on_complete_intersection, 6, (1, 3, 3), 52812),
+    ],
+)
+def test_hyperplane_section_leaves_counts_unchanged(recipe, ambient, degrees, expected):
+    # a degree-1 equation one dimension up cuts out the same variety
+    report = recipe(ambient, degrees)
+    assert report.count == expected
+    assert report.calabi_yau
 
 
 def test_count_report_consistency_enforced():
