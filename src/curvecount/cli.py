@@ -145,6 +145,7 @@ def _report_payload(report, elapsed: float) -> dict:
         "moduli_dim": report.moduli_dim,
         "bundle_rank": report.bundle_rank,
         "outcome": outcome,
+        "expected_empty": report.expected_empty,
         "calabi_yau": report.calabi_yau,
         "timings_ms": round(elapsed, 3),
     }

@@ -10,16 +10,21 @@ subject to the relation
 An element stores flat terms, (j, partition) -> nonzero int for the
 coefficient of sigma_partition * zeta^j with j < r, on the element core it
 shares with SchubertCycle; its base-cycle coefficients b_0, ..., b_(r-1)
-(`coeffs`) are derived from those terms on each read.  Elements are kept in
-that canonical form eagerly, so the pushforward along the projection is
-simply the zeta^(r-1) part; the general rule pushforward(zeta^(r-1+j)) =
-s_j(E) then follows from the relation and is exercised by the test suite.
+(`coeffs`) are derived from those terms on each read.  Products work on the
+flat terms too: pb_multiply convolves the term pairs of both factors
+through the base Grassmannian's product table into one dict per power of
+zeta, rewrites the powers r..2r-2 through the relation inside those dicts,
+and builds a single result, with no base cycle in between.  Elements are
+kept in that canonical form eagerly, so the pushforward along the
+projection is simply the zeta^(r-1) part; the general rule
+pushforward(zeta^(r-1+j)) = s_j(E) then follows from the relation and is
+exercised by the test suite.
 """
 
 from __future__ import annotations
 
 from .chern import ChernVector, GradedRing, GrassRing
-from .schubert import _EMPTY, SchubertCycle, _basis_order, _Element
+from .schubert import _EMPTY, SchubertCycle, _basis_order, _basis_product, _Element
 
 
 class ProjBundleRing(GradedRing):
@@ -101,7 +106,7 @@ class PBElement(_Element):
             if not isinstance(b, SchubertCycle) or b.ctx != ring.base.ctx:
                 raise ValueError(f"coefficients must be cycles on the base {ring.base.ctx}")
         self._space = ring
-        self._terms = _flatten(coeffs)
+        self._terms = {(j, lam): c for j, b in enumerate(coeffs) for lam, c in b._terms.items()}
 
     @property
     def ring(self) -> ProjBundleRing:
@@ -148,36 +153,49 @@ class PBElement(_Element):
         return f"<PBElement {self} on {self.ring}>"
 
 
-def _flatten(cycles) -> dict:
-    return {(j, lam): c for j, b in enumerate(cycles) for lam, c in b._terms.items()}
-
-
 def pb_multiply(x: PBElement, y: PBElement) -> PBElement:
-    """Product in the Chow ring of P(E): convolve in zeta, then rewrite
-    zeta^j for j >= r through the defining relation, highest power first."""
-    ring = x.ring
-    if y.ring is not ring and y.ring != ring:
+    """Product in the Chow ring of P(E), computed on the flat terms.
+
+    Each pair of terms sigma_lam zeta^i of x and sigma_mu zeta^j of y adds
+    sigma_lam * sigma_mu, read from the base's product table, to the slot
+    of zeta^(i+j): one dict partition -> int per power 0..2r-2.  The slots
+    of powers r..2r-2 are then rewritten, highest power first, through the
+    relation zeta^r = -(c_1(E) zeta^(r-1) + ... + c_r(E)) against the
+    stored terms of the c_i(E), and the slots below r are the result.
+    """
+    ring = x._space
+    if y._space is not ring and y._space != ring:
         raise ValueError("elements live on different projective bundles")
     r = ring.fiber_rank
-    zero = ring.base.zero()
-    slots = [zero] * (2 * r - 1)
-    ys = y.coeffs
-    for i, a in enumerate(x.coeffs):
-        if not a:
-            continue
-        for j, b in enumerate(ys):
-            if b:
-                slots[i + j] = slots[i + j] + a * b
-    # c_i(E) above the base's top degree are zero and not stored
-    rel = ring.bundle.classes
-    for j in range(2 * r - 2, r - 1, -1):
-        c = slots[j]
-        if not c:
-            continue
-        slots[j] = zero
-        for i, ci in enumerate(rel, 1):
-            slots[j - i] = slots[j - i] - c * ci
-    return PBElement._trusted(ring, _flatten(slots[:r]))
+    ctx = ring.base.ctx
+    table = ctx._table
+    slots = [{} for _ in range(2 * r - 1)]
+    for (i, lam), a in x._terms.items():
+        for (j, mu), b in y._terms.items():
+            key = (lam, mu) if lam <= mu else (mu, lam)
+            prod = table.get(key)
+            if prod is None:
+                prod = table[key] = _basis_product(ctx, *key)
+            slot = slots[i + j]
+            ab = a * b
+            for nu, c in prod:
+                slot[nu] = slot.get(nu, 0) + ab * c
+    for power in range(2 * r - 2, r - 1, -1):
+        for lam, a in slots[power].items():
+            if not a:
+                continue
+            # c_i(E) above the base's top degree are zero and not stored
+            for i, ci in enumerate(ring.bundle.classes, 1):
+                slot = slots[power - i]
+                for mu, b in ci._terms.items():
+                    key = (lam, mu) if lam <= mu else (mu, lam)
+                    prod = table.get(key)
+                    if prod is None:
+                        prod = table[key] = _basis_product(ctx, *key)
+                    ab = a * b
+                    for nu, c in prod:
+                        slot[nu] = slot.get(nu, 0) - ab * c
+    return PBElement._trusted(ring, {(j, nu): c for j in range(r) for nu, c in slots[j].items() if c})
 
 
 def pb_pushforward(x: PBElement) -> SchubertCycle:

@@ -38,7 +38,9 @@ class CountReport:
     """Outcome of a counting recipe.
 
     Exactly one of count / family_dimension is set: a count requires the
-    condition bundle rank to equal the moduli dimension.
+    condition bundle rank to equal the moduli dimension.  A negative family
+    dimension (rank above the moduli dimension) means that no such curve
+    is expected: see expected_empty.
     """
 
     recipe: str
@@ -56,6 +58,12 @@ class CountReport:
             raise ValueError("balanced recipe must carry a count and no family dimension")
         if not balanced and (self.count is not None or self.family_dimension is None):
             raise ValueError("unbalanced recipe must carry a family dimension and no count")
+
+    @property
+    def expected_empty(self) -> bool:
+        """More conditions than parameters: a generic member has no such
+        curves."""
+        return self.bundle_rank > self.moduli_dim
 
     @property
     def ambient(self) -> str:
@@ -112,12 +120,17 @@ def _count(curve: str, ambient_dim: int, degrees: tuple) -> CountReport:
     return CountReport(curve, ambient_dim, degrees, dim, rank, count, None, calabi_yau)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _complete_intersection_degrees(ambient_dim, degrees) -> tuple:
-    if not isinstance(ambient_dim, int) or ambient_dim < 3:
-        raise ValueError(f"ambient projective dimension must be an integer >= 3, got {ambient_dim}")
-    degrees = tuple(int(d) for d in degrees)
-    if not degrees or any(d < 1 for d in degrees):
-        raise ValueError(f"hypersurface degrees must be positive integers, got {degrees}")
+    # nothing is converted: a float or a string degree is an error, not rounded
+    if not _is_int(ambient_dim) or ambient_dim < 3:
+        raise ValueError(f"ambient projective dimension must be an integer >= 3, got {ambient_dim!r}")
+    degrees = tuple(degrees)
+    if not degrees or not all(_is_int(d) and d >= 1 for d in degrees):
+        raise ValueError(f"hypersurface degrees must be positive integers, got {degrees!r}")
     return degrees
 
 

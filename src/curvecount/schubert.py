@@ -16,16 +16,20 @@ schubert_class, pieri and dual_partition check their input, while the
 arithmetic builds its results without re-checking terms it already knows to
 be valid.  That element core is shared with the projective-bundle ring.
 
-Everything here is immutable; operations return new values.  The basis
-product cache is a functools.lru_cache, which is safe to share across
-threads.
+Everything here is immutable; operations return new values.  The
+structure constants of basis pairs are cached in one product table per
+Grassmannian: a dict from a sorted partition pair (lam, mu) to the tuple of
+((nu, coeff), ...) terms of sigma_lam * sigma_mu, shared by every GrassCtx
+equal to the one that filled it and read by both multiply and the
+projective-bundle product.  Sharing it across threads is safe: an entry is
+never changed once stored, and two threads that miss on the same pair only
+store the same tuple twice.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 
 class Partition(tuple):
@@ -74,9 +78,17 @@ def _basis_order(lam: Partition) -> tuple:
     return (lam.weight, tuple(-p for p in lam))
 
 
+# (k, n) -> the product table of G(k, n); see the module docstring
+_TABLES: dict = {}
+
+
 @dataclass(frozen=True)
 class GrassCtx:
-    """The Grassmannian G(k, n) of k-dimensional subspaces of C^n."""
+    """The Grassmannian G(k, n) of k-dimensional subspaces of C^n.
+
+    _table, not a field, is the product table of G(k, n), the same dict for
+    every equal context.
+    """
 
     k: int
     n: int
@@ -86,6 +98,11 @@ class GrassCtx:
             raise ValueError("k and n must be integers")
         if not 0 < self.k < self.n:
             raise ValueError(f"need 0 < k < n, got k={self.k}, n={self.n}")
+        object.__setattr__(self, "_table", _TABLES.setdefault((self.k, self.n), {}))
+
+    def __reduce__(self):
+        # rebuild through __init__, so that a copy shares the table
+        return GrassCtx, (self.k, self.n)
 
     @property
     def dim(self) -> int:
@@ -406,9 +423,9 @@ def _permutation_sign(perm) -> int:
     return sign
 
 
-@lru_cache(maxsize=None)
 def _basis_product(ctx: GrassCtx, lam: Partition, mu: Partition):
-    """Structure constants of sigma_lam * sigma_mu as ((nu, coeff), ...)."""
+    """Structure constants of sigma_lam * sigma_mu as ((nu, coeff), ...),
+    computed afresh; callers cache them in ctx._table."""
     if not lam:
         return ((mu, 1),)
     if not mu:
@@ -452,16 +469,21 @@ def _basis_product(ctx: GrassCtx, lam: Partition, mu: Partition):
 
 
 def multiply(x: SchubertCycle, y: SchubertCycle) -> SchubertCycle:
-    """Product in the Chow ring, bilinear over the cached basis products."""
+    """Product in the Chow ring, bilinear over the product table."""
     ctx = x._space
-    if y._space != ctx:
+    if y._space is not ctx and y._space != ctx:
         raise ValueError("cycles live on different Grassmannians")
+    table = ctx._table
     out = {}
     for lam, a in x._terms.items():
         for mu, b in y._terms.items():
             key = (lam, mu) if lam <= mu else (mu, lam)
-            for nu, c in _basis_product(ctx, *key):
-                out[nu] = out.get(nu, 0) + a * b * c
+            prod = table.get(key)
+            if prod is None:
+                prod = table[key] = _basis_product(ctx, *key)
+            ab = a * b
+            for nu, c in prod:
+                out[nu] = out.get(nu, 0) + ab * c
     return SchubertCycle._trusted(ctx, {nu: c for nu, c in out.items() if c})
 
 

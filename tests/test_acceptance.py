@@ -23,12 +23,13 @@ from curvecount.recipes import (
     normal_bundle_classify,
     reference_counts,
 )
-from curvecount.schubert import GrassCtx, _basis_product, integrate, schubert_class
+from curvecount.schubert import _TABLES, GrassCtx, integrate, schubert_class
 from curvecount.suites import _small_contexts, run_suite
 
 
 def _cold_caches():
-    _basis_product.cache_clear()
+    for table in _TABLES.values():
+        table.clear()
     _sym_chern_polys.cache_clear()
     _count.cache_clear()
 

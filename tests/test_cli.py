@@ -101,6 +101,16 @@ def test_count_lines_family_json(capsys):
     assert code == 0
     assert payload["outcome"] == {"family_dimension": 2}
     assert payload["calabi_yau"] is False
+    assert payload["expected_empty"] is False
+
+
+def test_count_expected_empty_json(capsys):
+    code, payload = run_json(capsys, "count", "lines", "--json", "--ambient", "4", "--degrees", "6")
+    assert code == 0
+    assert payload["outcome"] == {"family_dimension": -1}
+    assert payload["expected_empty"] is True
+    _, quintic = run_json(capsys, "count", "conics", "--json", "--degree", "5")
+    assert quintic["expected_empty"] is False
 
 
 def test_count_conics_json(capsys):

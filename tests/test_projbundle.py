@@ -237,8 +237,71 @@ def test_power_is_repeated_product():
         assert flat.zeta(j) == flat.from_base((-flat.base.schubert((1,))) ** j)
 
 
+def reference_product(x, y):
+    """x * y through base cycles: split both factors into their zeta
+    coefficients, multiply those with schubert.multiply, and rewrite
+    zeta^j for j >= r through the relation, highest power first."""
+    ring = x.ring
+    r, base = ring.fiber_rank, ring.base
+    slots = [base.zero()] * (2 * r - 1)
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs):
+            slots[i + j] = slots[i + j] + multiply(a, b)
+    for power in range(2 * r - 2, r - 1, -1):
+        top, slots[power] = slots[power], base.zero()
+        for i in range(1, r + 1):
+            slots[power - i] = slots[power - i] - multiply(top, ring.bundle.c(i))
+    return PBElement(ring, tuple(slots[:r]))
+
+
+PRODUCT_RINGS = (taut_ring(2, 4, "sub"), taut_ring(2, 5, "quotient"), CONIC_RING, rank_one_ring())
+
+
+@st.composite
+def bundle_operands(draw):
+    ring = draw(st.sampled_from(PRODUCT_RINGS))
+    keys = st.tuples(st.integers(0, ring.fiber_rank - 1), st.sampled_from(ring.base.ctx.box_partitions()))
+
+    def element():
+        terms = draw(st.dictionaries(keys, st.integers(-3, 3), max_size=6))
+        return PBElement(ring, tuple(SchubertCycle(ring.base.ctx, {lam: c for (i, lam), c in terms.items() if i == j})
+                                     for j in range(ring.fiber_rank)))
+
+    return element(), element()
+
+
+@settings(max_examples=150, deadline=None)
+@given(bundle_operands())
+def test_flat_product_matches_the_product_through_base_cycles(operands):
+    x, y = operands
+    product = pb_multiply(x, y)
+    assert product == reference_product(x, y)
+    assert_valid_element(product)
+
+
 def _raise(*args, **kwargs):
     raise AssertionError("validating constructor called on an internal result")
+
+
+def test_bundle_products_make_no_base_products(monkeypatch):
+    import curvecount.schubert as schubert
+
+    pb = conic_ring()
+    s1, s21 = pb.base.schubert((1,)), pb.base.schubert((2, 1))
+    x = pb.zeta(5) + s1 * pb.zeta(3) - 2 * s21
+    y = pb.zeta(4) + s1 * pb.zeta(2) + 3
+    expected = reference_product(x, y)
+    calls = []
+    inner = schubert.multiply
+
+    def counting(a, b):
+        calls.append(1)
+        return inner(a, b)
+
+    monkeypatch.setattr(schubert, "multiply", counting)
+    monkeypatch.setattr(PBElement, "coeffs", property(_raise))
+    assert x * y == expected
+    assert calls == []
 
 
 def test_arithmetic_never_calls_the_validating_constructors(monkeypatch):

@@ -75,6 +75,10 @@ def test_lines_input_validation():
         lines_on_complete_intersection(4, [0])
     with pytest.raises(ValueError):
         lines_on_complete_intersection("4", [5])
+    # nothing rounds: a degree or dimension that is not an int is an error
+    for ambient, degrees in ((4, [5.9]), (4, [5.0]), (4, ["5"]), (4, [True, 5]), (4.0, [5]), (True, [5])):
+        with pytest.raises(ValueError):
+            lines_on_complete_intersection(ambient, degrees)
 
 
 def test_conic_count_on_quintic():
@@ -97,7 +101,8 @@ def test_conics_input_validation():
         conics_on_quintic_type(1)
     with pytest.raises(ValueError):
         conics_on_quintic_type(0)
-    for ambient, degrees in ((2, [5]), (4, []), (4, [0]), ("4", [5])):
+    for ambient, degrees in ((2, [5]), (4, []), (4, [0]), ("4", [5]), (4, ["5"]), (4, [5.9]), (4, [5.0]),
+                             (4, [True, 5]), (4.0, [5]), (True, [5])):
         with pytest.raises(ValueError):
             conics_on_complete_intersection(ambient, degrees)
 
@@ -152,6 +157,15 @@ def test_hyperplane_section_leaves_counts_unchanged(recipe, ambient, degrees, ex
     report = recipe(ambient, degrees)
     assert report.count == expected
     assert report.calabi_yau
+
+
+def test_expected_empty_when_rank_exceeds_dimension():
+    for report in (lines_on_complete_intersection(4, [6]), conics_on_quintic_type(6), conics_on_quintic_type(9)):
+        assert report.family_dimension < 0
+        assert report.expected_empty
+    for report in (lines_on_complete_intersection(4, [5]), lines_on_complete_intersection(4, [3]),
+                   conics_on_quintic_type(4)):
+        assert not report.expected_empty
 
 
 def test_count_report_consistency_enforced():

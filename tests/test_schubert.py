@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -339,3 +341,28 @@ def test_products_dispatch_through_module_multiply(monkeypatch):
     assert len(calls) == 1
     x ** 3
     assert len(calls) == 4
+
+
+def test_equal_contexts_share_one_product_table():
+    a, b = GrassCtx(3, 5), GrassCtx(3, 5)
+    assert a is not b and a == b
+    assert a._table is b._table
+    assert copy.deepcopy(a)._table is a._table
+    assert pickle.loads(pickle.dumps(a))._table is a._table
+    assert GrassCtx(2, 5)._table is not a._table
+    # a product on one context is a table entry for the other
+    s1, s2 = Partition((1,)), Partition((2, 1))
+    a._table.pop((s1, s2), None)
+    product = multiply(schubert_class(a, s1), schubert_class(a, s2))
+    assert dict(b._table[(s1, s2)]) == product.terms
+    assert multiply(schubert_class(b, s2), schubert_class(a, s1)) == product
+
+
+def test_lr_product_never_touches_the_product_table():
+    ctx = GrassCtx(3, 9)
+    x = schubert_class(ctx, (2, 1)) + schubert_class(ctx, (3,))
+    y = schubert_class(ctx, (2, 2, 1)) - schubert_class(ctx, (1,))
+    before = dict(ctx._table)
+    lr = multiply_lr(x, y)
+    assert ctx._table == before
+    assert lr == multiply(x, y)
