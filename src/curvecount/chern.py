@@ -226,11 +226,12 @@ class ChernVector:
 
 
 def _series_mul(a: list, b: list, ring: GradedRing, top: int) -> list:
+    # zero entries (classes above a base's top degree, say) are skipped
     out = []
     for d in range(top + 1):
         acc = ring.zero()
         for i in range(d + 1):
-            if i < len(a) and d - i < len(b):
+            if i < len(a) and d - i < len(b) and a[i] and b[d - i]:
                 acc = acc + a[i] * b[d - i]
         out.append(acc)
     return out
@@ -243,7 +244,7 @@ def _series_inv(a: list, ring: GradedRing, top: int) -> list:
     for d in range(1, top + 1):
         acc = ring.zero()
         for i in range(1, d + 1):
-            if i < len(a):
+            if i < len(a) and a[i] and inv[d - i]:
                 acc = acc + a[i] * inv[d - i]
         inv.append(-acc)
     return inv
@@ -335,9 +336,11 @@ def direct_sum(*bundles: ChernVector) -> ChernVector:
 def whitney_quotient(f: ChernVector, s: ChernVector) -> ChernVector:
     """Chern vector of the quotient in 0 -> S -> F -> Q -> 0.
 
-    Computed as the power-series quotient c(F)/c(S), truncated at the
-    quotient rank and at the ring's top degree.  The division is re-checked
-    by multiplying back; a mismatch means the series arithmetic is broken.
+    Computed as the power-series quotient c(F)/c(S) through the ring's top
+    degree.  A nonzero class above the quotient rank means no such bundle
+    exists, which raises ValueError.  The division is re-checked by
+    multiplying back through the top degree; a mismatch means the series
+    arithmetic is broken and raises ArithmeticError.
     """
     ring = f.ring
     if s.ring != ring:
@@ -346,13 +349,14 @@ def whitney_quotient(f: ChernVector, s: ChernVector) -> ChernVector:
     if rank <= 0:
         raise ValueError(f"sub-bundle rank {s.rank} must be smaller than total rank {f.rank}")
     top = ring.top_degree
-    quot = _series_mul(f.total_series(top), _series_inv(s.total_series(top), ring, top), ring, top)
+    sub = s.total_series(top)
+    quot = _series_mul(f.total_series(top), _series_inv(sub, ring, top), ring, top)
     depth = min(rank, top)
-    classes = tuple(quot[1 : depth + 1])
-    back = _series_mul(s.total_series(depth), [ring.one(), *classes], ring, depth)
-    if back != f.total_series(depth):
+    if any(quot[depth + 1 :]):
+        raise ValueError(f"c(F)/c(S) has classes above degree {rank}: not a bundle of rank {rank}")
+    if _series_mul(sub, quot, ring, top) != f.total_series(top):
         raise ArithmeticError("Whitney series division failed its own check")
-    return ChernVector(ring, rank, classes)
+    return ChernVector(ring, rank, tuple(quot[1 : depth + 1]))
 
 
 def segre(e: ChernVector, top: int) -> list:

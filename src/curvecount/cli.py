@@ -144,6 +144,7 @@ def _report_payload(report, elapsed: float) -> dict:
         "degrees": list(report.degrees),
         "moduli_dim": report.moduli_dim,
         "bundle_rank": report.bundle_rank,
+        "query": report.query,
         "outcome": outcome,
         "expected_empty": report.expected_empty,
         "calabi_yau": report.calabi_yau,

@@ -20,13 +20,14 @@ Grammar (LL(1), whitespace insensitive):
               | "dual" "(" bundle ")"
               | "twist" "(" bundle "," ["-"] INT ")"
               | "quotient" "(" bundle "," bundle ")"
+              | "sum" "(" bundle { "," bundle } ")"
 
 sigma[...] names a Schubert class of the base Grassmannian, zeta the
-hyperplane class of a projective-bundle context, and twist(B, p) tensors B
-by the p-th power of O_P(1).  In a projective-bundle context a bundle
-without a twist is computed on the base and pulled back once.  Parsing and
-evaluation never mutate anything; errors carry positions and the
-expected-token set.
+hyperplane class of a projective-bundle context, twist(B, p) tensors B
+by the p-th power of O_P(1), and sum(B, ...) is the Whitney sum.  In a
+projective-bundle context a bundle without a twist is computed on the base
+and pulled back once.  Parsing and evaluation never mutate anything;
+errors carry positions and the expected-token set.
 
 Size caps.  Legal queries can ask for more than a process can compute, so
 evaluate() rejects a query past one of these caps with an EvalError before
@@ -45,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .chern import ChernVector, GrassRing, dual_bundle, sym_power, tensor_line, whitney_quotient
+from .chern import ChernVector, GrassRing, direct_sum, dual_bundle, sym_power, tensor_line, whitney_quotient
 from .projbundle import PBElement, ProjBundleRing
 from .schubert import GrassCtx, SchubertCycle
 
@@ -162,6 +163,11 @@ class Twist:
 class Quotient:
     numerator: object
     denominator: object
+
+
+@dataclass(frozen=True)
+class Sum:
+    summands: tuple
 
 
 @dataclass(frozen=True)
@@ -427,7 +433,16 @@ class _Parser:
             den = self.bundle()
             self.eat_punct(")")
             return Quotient(num, den)
-        raise self.fail(("'S'", "'Sdual'", "'Q'", "'sym'", "'dual'", "'twist'", "'quotient'"))
+        if self.at_name("sum"):
+            self.advance()
+            self.eat_punct("(")
+            summands = [self.bundle()]
+            while self.at_punct(","):
+                self.advance()
+                summands.append(self.bundle())
+            self.eat_punct(")")
+            return Sum(tuple(summands))
+        raise self.fail(("'S'", "'Sdual'", "'Q'", "'sym'", "'dual'", "'twist'", "'quotient'", "'sum'"))
 
 
 def parse(text: str) -> Query:
@@ -492,6 +507,8 @@ def render_bundle(node) -> str:
         return f"twist({render_bundle(node.bundle)}, {node.power})"
     if isinstance(node, Quotient):
         return f"quotient({render_bundle(node.numerator)}, {render_bundle(node.denominator)})"
+    if isinstance(node, Sum):
+        return "sum(" + ", ".join(render_bundle(b) for b in node.summands) + ")"
     raise TypeError(f"not a bundle node: {node!r}")
 
 
@@ -540,6 +557,8 @@ def _has_twist(node) -> bool:
         return True
     if isinstance(node, Quotient):
         return _has_twist(node.numerator) or _has_twist(node.denominator)
+    if isinstance(node, Sum):
+        return any(_has_twist(b) for b in node.summands)
     return isinstance(node, (Sym, Dual)) and _has_twist(node.bundle)
 
 
@@ -565,6 +584,8 @@ def _eval_bundle(node, ring) -> ChernVector:
             return whitney_quotient(num, den)
         except ValueError as exc:
             raise EvalError(str(exc)) from None
+    if isinstance(node, Sum):
+        return direct_sum(*(_eval_bundle(b, ring) for b in node.summands))
     raise TypeError(f"not a bundle node: {node!r}")
 
 
@@ -620,6 +641,8 @@ def _bundle_rank(node, k: int, n: int) -> int:
         rank = _bundle_rank(node.bundle, k, n)
     elif isinstance(node, Quotient):
         rank = _bundle_rank(node.numerator, k, n) - _bundle_rank(node.denominator, k, n)
+    elif isinstance(node, Sum):
+        rank = sum(_bundle_rank(b, k, n) for b in node.summands)
     else:
         raise TypeError(f"not a bundle node: {node!r}")
     if rank > MAX_RANK:

@@ -13,11 +13,13 @@ Chern class:
 
 A degree-d equation adds rank e*d + 1.  Rank and moduli dimension follow from
 the inputs alone, so when they differ the recipe reports the dimension of
-the expected family without building any ring.  The remaining
-entry points are the exact bookkeeping rules for families and degenerations:
-normal-bundle splitting types on a rational curve, family equivalences, the
-1/m^3 multiple-cover weight, and validation of degeneration ledgers whose
-component equivalences must add up to the conserved total.
+the expected family without building any ring.  Otherwise the count is
+the evaluation of a curvecount.dsl query, whose text the report carries.
+The remaining entry points are the exact bookkeeping rules for families and
+degenerations: normal-bundle splitting types on a rational curve, family
+equivalences, the 1/m^3 multiple-cover weight, and validation of
+degeneration ledgers whose component equivalences must add up to the
+conserved total.
 """
 
 from __future__ import annotations
@@ -28,9 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
-from .chern import GrassRing, _series_mul, direct_sum, sym_power, tensor_line, whitney_quotient
-from .projbundle import ProjBundleRing
-from .schubert import GrassCtx
+from . import dsl
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,8 @@ class CountReport:
     Exactly one of count / family_dimension is set: a count requires the
     condition bundle rank to equal the moduli dimension.  A negative family
     dimension (rank above the moduli dimension) means that no such curve
-    is expected: see expected_empty.
+    is expected: see expected_empty.  query is the DSL text whose value is
+    the count (None when there is no count).
     """
 
     recipe: str
@@ -51,6 +52,7 @@ class CountReport:
     count: int | None
     family_dimension: int | None
     calabi_yau: bool
+    query: str | None = None
 
     def __post_init__(self):
         balanced = self.bundle_rank == self.moduli_dim
@@ -79,6 +81,7 @@ class CountReport:
             f"calabi-yau:    {'yes' if self.calabi_yau else 'no'}",
         ]
         if self.count is not None:
+            lines.append(f"query:         {self.query}")
             lines.append(f"count:         {self.count}")
         else:
             lines.append(f"family dim:    {self.family_dimension}")
@@ -93,31 +96,17 @@ def _count(curve: str, ambient_dim: int, degrees: tuple) -> CountReport:
     calabi_yau = sum(degrees) == ambient_dim + 1
     if rank != dim:
         return CountReport(curve, ambient_dim, degrees, dim, rank, None, dim - rank, calabi_yau)
-
-    base = GrassRing(GrassCtx(e + 1, ambient_dim + 1))
-    sub_dual = base.tautological("sub_dual")
-    if e == 1:
-        ring = base
-        summands = [sym_power(sub_dual, d) for d in degrees]
-    else:
-        ring = ProjBundleRing(sym_power(sub_dual, 2))
-        top = ring.top_degree
-        summands = []
-        for d in degrees:
-            forms = ring.pullback(sym_power(sub_dual, d))
-            if d == 1:
-                summands.append(forms)
-                continue
-            ideal_part = tensor_line(ring.pullback(sym_power(sub_dual, d - 2)), -ring.zeta(1))
-            quotient = whitney_quotient(forms, ideal_part)
-            # Whitney consistency through the whole ring, not just the quotient rank
-            lhs = _series_mul(ideal_part.total_series(top), quotient.total_series(top), ring, top)
-            if lhs != forms.total_series(top):
-                raise ArithmeticError("quotient bundle fails the Whitney identity")
-            summands.append(quotient)
-    bundle = direct_sum(*summands)
-    count = ring.integrate(bundle.c(rank))
-    return CountReport(curve, ambient_dim, degrees, dim, rank, count, None, calabi_yau)
+    sdual, n = dsl.BundleAtom("Sdual"), ambient_dim + 1
+    summands = []
+    for d in degrees:
+        forms = dsl.Sym(d, sdual)  # a conic's forms are taken modulo its equation's multiples
+        summands.append(forms if e == 1 or d == 1 else dsl.Quotient(forms, dsl.Twist(dsl.Sym(d - 2, sdual), -1)))
+    bundle = summands[0] if len(summands) == 1 else dsl.Sum(tuple(summands))
+    space = dsl.GrassContext(2, n) if e == 1 else dsl.BundleContext(dsl.Sym(2, sdual), 3, n)
+    query = dsl.Query(dsl.IntegrateNode(dsl.ChernOf(rank, bundle)), space)
+    # the DSL's evaluator without its size caps: a recipe takes any N
+    count = dsl._eval_expr(query.expr, dsl._resolve_context(query.context))
+    return CountReport(curve, ambient_dim, degrees, dim, rank, count, None, calabi_yau, dsl.render(query))
 
 
 def _is_int(value) -> bool:
@@ -167,8 +156,8 @@ def conics_on_quintic_type(degree: int) -> CountReport:
     dimension and yields the count; other degrees report the family
     dimension 11 - (2d+1).
     """
-    if not isinstance(degree, int) or degree < 2:
-        raise ValueError(f"hypersurface degree must be an integer >= 2, got {degree}")
+    if not _is_int(degree) or degree < 2:
+        raise ValueError(f"hypersurface degree must be an integer >= 2, got {degree!r}")
     return _count("conics", 4, (degree,))
 
 
@@ -195,8 +184,8 @@ class ClemensCount:
 def clemens_excess(degree: int) -> ClemensCount:
     """Parameter/condition count for degree-d rational curves on a quintic
     threefold: (5(d+1), 5d+1, 4), excess 0."""
-    if not isinstance(degree, int) or degree < 1:
-        raise ValueError(f"curve degree must be a positive integer, got {degree}")
+    if not _is_int(degree) or degree < 1:
+        raise ValueError(f"curve degree must be a positive integer, got {degree!r}")
     return ClemensCount(degree, 5 * (degree + 1), 5 * degree + 1, 4)
 
 
@@ -219,8 +208,8 @@ def normal_bundle_classify(a: int) -> NormalBundleSplit:
     a = b = -1), one means first-order deformations only, more means the
     curve moves in a family of that dimension.
     """
-    if not isinstance(a, int):
-        raise ValueError("splitting degree must be an integer")
+    if not _is_int(a):
+        raise ValueError(f"splitting degree must be an integer, got {a!r}")
     b = -2 - a
     h0 = max(a + 1, 0) + max(b + 1, 0)
     if h0 == 0:
@@ -268,8 +257,8 @@ def equivalence_unobstructed(family_dim: int, chern_integrals=None) -> int:
     indexed so that chern_integrals[k] is the integral of c_k; a mapping
     from index to integer also works.
     """
-    if not isinstance(family_dim, int) or family_dim < 0:
-        raise ValueError(f"family dimension must be a nonnegative integer, got {family_dim}")
+    if not _is_int(family_dim) or family_dim < 0:
+        raise ValueError(f"family dimension must be a nonnegative integer, got {family_dim!r}")
     if family_dim == 0:
         return 1
     if chern_integrals is None:
@@ -278,14 +267,16 @@ def equivalence_unobstructed(family_dim: int, chern_integrals=None) -> int:
         value = chern_integrals[family_dim]
     except (KeyError, IndexError):
         raise ValueError(f"missing integral of c_{family_dim}") from None
-    return int(value)
+    if not _is_int(value):
+        raise ValueError(f"the integral of c_{family_dim} must be an integer, got {value!r}")
+    return value
 
 
 def multiple_cover_weight(cover_degree: int) -> Fraction:
     """Weight of degree-m multiple covers of a rigid rational curve: each
     cover contributes 1/m^3, exactly."""
-    if not isinstance(cover_degree, int) or cover_degree < 1:
-        raise ValueError(f"cover degree must be a positive integer, got {cover_degree}")
+    if not _is_int(cover_degree) or cover_degree < 1:
+        raise ValueError(f"cover degree must be a positive integer, got {cover_degree!r}")
     return Fraction(1, cover_degree**3)
 
 

@@ -41,7 +41,10 @@ class Partition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts=()):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(parts)
+        for p in parts:
+            if not isinstance(p, int) or isinstance(p, bool):  # nothing rounds
+                raise ValueError(f"partition parts must be integers: {parts}")
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         if any(p < 0 for p in parts):
@@ -288,7 +291,8 @@ class SchubertCycle(_Element):
             lam = Partition(lam)
             if not ctx.fits(lam):
                 raise ValueError(f"partition {tuple(lam)} does not fit the box of {ctx}")
-            coeff = int(coeff)
+            if not isinstance(coeff, int) or isinstance(coeff, bool):
+                raise ValueError(f"coefficient of sigma{tuple(lam)} must be an integer, got {coeff!r}")
             if coeff:
                 clean[lam] = clean.get(lam, 0) + coeff
                 if not clean[lam]:

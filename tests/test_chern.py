@@ -143,6 +143,14 @@ def test_quotient_rank_validation():
         whitney_quotient(R25.tautological("sub"), R35.tautological("sub"))
 
 
+def test_quotient_that_is_no_bundle_is_rejected():
+    # c(Sym^2 S*)/c(S*) = 1 + 2 sigma_1 + (2 sigma_1^2 + sigma_2) + ... has a
+    # degree-2 class, so it is no line bundle
+    sdual = R25.tautological("sub_dual")
+    with pytest.raises(ValueError, match="not a bundle of rank 1"):
+        whitney_quotient(sym_power(sdual, 2), sdual)
+
+
 def test_tensor_line_c1_shift():
     e = R25.tautological("sub_dual")
     ell = R25.schubert((1,))

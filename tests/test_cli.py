@@ -96,6 +96,30 @@ def test_count_lines_json(capsys):
     assert payload["moduli_dim"] == 12
 
 
+def test_count_json_carries_the_query(capsys):
+    code, payload = run_json(capsys, "count", "lines", "--json", "--ambient", "4", "--degrees", "5")
+    assert code == 0
+    assert payload["query"] == "integrate(c(6, sym(5, Sdual))) in G(2,5)"
+    _, grass = run_json(capsys, "grass", "--json", payload["query"])
+    assert grass["result"]["value"] == payload["outcome"]["count"] == 2875
+    code, sextic = run_json(capsys, "count", "lines", "--json", "--ambient", "4", "--degrees", "6")
+    assert code == 0
+    assert "query" in sextic and sextic["query"] is None
+
+
+def test_count_text_shows_the_query(capsys):
+    code, out, _ = run_cli(capsys, "count", "conics", "--ambient", "5", "--degrees", "3,3")
+    assert code == 0
+    assert "query:         integrate(c(14, sum(quotient(sym(3, Sdual), twist(sym(1, Sdual), -1))," in out
+
+
+def test_grass_quotient_that_is_no_bundle_exits_one(capsys):
+    code, out, err = run_cli(capsys, "grass", "c(1, quotient(sym(2, Sdual), Sdual)) in G(2,5)")
+    assert code == 1
+    assert out == ""
+    assert "evaluation error" in err and "not a bundle of rank 1" in err
+
+
 def test_count_lines_family_json(capsys):
     code, payload = run_json(capsys, "count", "lines", "--json", "--ambient", "4", "--degrees", "3")
     assert code == 0

@@ -22,6 +22,7 @@ from curvecount.dsl import (
     Quotient,
     Sigma,
     Sub,
+    Sum,
     Sym,
     Twist,
     Zeta,
@@ -67,6 +68,24 @@ def test_parse_twist_with_negative_power():
     assert q.expr == ChernOf(1, Twist(BundleAtom("S"), -2))
 
 
+def test_parse_sum_of_bundles():
+    q = parse("c(2, sum(S, twist(Q, 1), sym(2, Sdual))) in P(Q) over G(2,4)")
+    assert q.expr == ChernOf(2, Sum((BundleAtom("S"), Twist(BundleAtom("Q"), 1), Sym(2, BundleAtom("Sdual")))))
+    assert parse("c(1, sum(S)) in G(2,4)").expr == ChernOf(1, Sum((BundleAtom("S"),)))
+    for bad in ("c(1, sum()) in G(2,4)", "c(1, sum(S,)) in G(2,4)", "c(1, sum(S Q)) in G(2,4)"):
+        with pytest.raises(ParseError):
+            parse(bad)
+
+
+def test_evaluate_sum_is_the_whitney_sum():
+    # S + Q is the trivial rank-n bundle, and two cubic equations cut 1053 lines
+    assert evaluate("c(2, sum(S, Q)) in G(2,5)").rendered == "0"
+    assert evaluate("c(1, sum(S)) in G(2,5)").rendered == evaluate("c(1, S) in G(2,5)").rendered
+    assert evaluate("integrate(c(8, sum(sym(3, Sdual), sym(3, Sdual)))) in G(2,6)").value == 1053
+    # c(S(1)) c(Q) = 1 + ... gives c_2 = zeta^2 + c_1(Q) zeta = -c_2(Q) by the relation
+    assert evaluate("c(2, sum(twist(S, 1), Q)) in P(Q) over G(2,4)").rendered == "-sigma[2]"
+
+
 def test_syntax_error_at_eof():
     with pytest.raises(ParseError) as err:
         parse("sigma[1")
@@ -106,7 +125,9 @@ def test_render_canonical_spacing():
 def _random_bundle(rng, depth):
     if depth <= 0 or rng.random() < 0.4:
         return BundleAtom(rng.choice(["S", "Sdual", "Q"]))
-    kind = rng.choice(["sym", "dual", "twist", "quotient"])
+    kind = rng.choice(["sym", "dual", "twist", "quotient", "sum"])
+    if kind == "sum":
+        return Sum(tuple(_random_bundle(rng, depth - 1) for _ in range(rng.randint(1, 3))))
     if kind == "sym":
         return Sym(rng.randint(0, 5), _random_bundle(rng, depth - 1))
     if kind == "dual":
@@ -169,6 +190,8 @@ def test_evaluate_high_sym_power_truncates():
         ("sigma[1] in G(5,11)", "G(5,11) has dimension 30, above the cap of 25"),
         ("zeta in P(sym(4, Sdual)) over G(3,8)", "has dimension 29, above the cap of 25"),
         ("c(1, sym(2, sym(12, Q))) in G(2,6)", "has rank 103740, above the cap of 500"),
+        ("c(1, sum(sym(12, Q), sym(12, Q))) in G(2,6)", "sum(sym(12, Q), sym(12, Q)) has rank 910, above the cap of 500"),
+        ("c(1, sum(S, sym(13, Q))) in G(2,6)", "sym power 13 is above the cap of 12"),
         ("c(1, dual(sym(12, Q))) in P(sym(2, sym(12, Q))) over G(2,6)", "above the cap of 500"),
         ("sigma[1]^65 in G(2,5)", "exponent 65, counting enclosing powers, is above the cap of 64"),
         ("(1 + (sigma[1]^8)^9) in G(2,5)", "exponent 72, counting enclosing powers, is above the cap of 64"),
@@ -269,6 +292,9 @@ def test_eval_error_bad_context():
 def test_eval_error_bad_quotient():
     with pytest.raises(EvalError):
         evaluate("c(1, quotient(S, Q)) in G(2,4)")
+    # c(Sym^2 S*)/c(S*) does not stop at degree 1: no line bundle has it
+    with pytest.raises(EvalError, match="not a bundle of rank 1"):
+        evaluate("c(1, quotient(sym(2, Sdual), Sdual)) in G(2,5)")
 
 
 def test_zeta_in_expression():

@@ -183,6 +183,30 @@ def test_quintic_conic_count_through_raw_ring_ops():
     assert pb_integrate(bundle.c(11)) == 609250
 
 
+def test_series_loops_skip_empty_operands(monkeypatch):
+    # classes of Sym^d S* above the base's top degree pull back to zero;
+    # the Whitney series products must not spend a product on them
+    import curvecount.projbundle as projbundle
+    from curvecount.chern import direct_sum, tensor_line, whitney_quotient
+
+    pb = conic_ring()
+    sdual = pb.base.tautological("sub_dual")
+    pairs = [(pb.pullback(sym_power(sdual, d)), tensor_line(pb.pullback(sym_power(sdual, d - 2)), -pb.zeta(1)))
+             for d in (5, 3)]
+    operands = []
+    inner = projbundle.pb_multiply
+
+    def counting(a, b):
+        operands.append((a, b))
+        return inner(a, b)
+
+    monkeypatch.setattr(projbundle, "pb_multiply", counting)
+    quotients = [whitney_quotient(forms, ideal) for forms, ideal in pairs]
+    total = direct_sum(*quotients, pb.pullback(sdual))
+    assert operands and all(a and b for a, b in operands)
+    assert total.rank == 11 + 7 + 3
+
+
 CONIC_RING = conic_ring()
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from curvecount import recipes
+from curvecount import dsl, recipes
 from curvecount.recipes import (
     CountReport,
     DegenerationLedger,
@@ -99,8 +99,9 @@ def test_conic_families(degree, family_dim):
 def test_conics_input_validation():
     with pytest.raises(ValueError):
         conics_on_quintic_type(1)
-    with pytest.raises(ValueError):
-        conics_on_quintic_type(0)
+    for bad in (0, 5.0, True, "5"):
+        with pytest.raises(ValueError):
+            conics_on_quintic_type(bad)
     for ambient, degrees in ((2, [5]), (4, []), (4, [0]), ("4", [5]), (4, ["5"]), (4, [5.9]), (4, [5.0]),
                              (4, [True, 5]), (4.0, [5]), (True, [5])):
         with pytest.raises(ValueError):
@@ -112,7 +113,7 @@ def test_unbalanced_recipe_builds_no_bundle(monkeypatch):
         raise AssertionError("built a bundle for an unbalanced recipe")
 
     recipes._count.cache_clear()
-    monkeypatch.setattr(recipes, "sym_power", no_bundle)
+    monkeypatch.setattr(dsl, "sym_power", no_bundle)
     report = conics_on_quintic_type(9)
     assert (report.moduli_dim, report.bundle_rank, report.family_dimension) == (11, 19, -8)
     assert lines_on_complete_intersection(4, [6]).family_dimension == -1
@@ -142,21 +143,59 @@ def test_quintic_shorthand_matches_the_general_recipe():
     assert conics_on_quintic_type(3) == conics_on_complete_intersection(4, (3,))
 
 
-@pytest.mark.parametrize(
-    "recipe,ambient,degrees,expected",
-    [
-        (lines_on_complete_intersection, 5, (1, 5), 2875),
-        (lines_on_complete_intersection, 6, (1, 1, 5), 2875),
-        (conics_on_complete_intersection, 5, (1, 5), 609250),
-        (conics_on_complete_intersection, 6, (1, 1, 5), 609250),
-        (conics_on_complete_intersection, 6, (1, 3, 3), 52812),
-    ],
-)
+HYPERPLANE_CASES = [
+    (lines_on_complete_intersection, 5, (1, 5), 2875),
+    (lines_on_complete_intersection, 6, (1, 1, 5), 2875),
+    (conics_on_complete_intersection, 5, (1, 5), 609250),
+    (conics_on_complete_intersection, 6, (1, 1, 5), 609250),
+    (conics_on_complete_intersection, 6, (1, 3, 3), 52812),
+]
+
+
+@pytest.mark.parametrize("recipe,ambient,degrees,expected", HYPERPLANE_CASES)
 def test_hyperplane_section_leaves_counts_unchanged(recipe, ambient, degrees, expected):
     # a degree-1 equation one dimension up cuts out the same variety
     report = recipe(ambient, degrees)
     assert report.count == expected
     assert report.calabi_yau
+
+
+@pytest.mark.parametrize(
+    "recipe,ambient,degrees,expected",
+    [(lines_on_complete_intersection, *case) for case in CLASSICAL_LINE_COUNTS]
+    + [(conics_on_complete_intersection, *case) for case in CALABI_YAU_CONIC_COUNTS]
+    + HYPERPLANE_CASES,
+)
+def test_report_query_evaluates_to_the_count(recipe, ambient, degrees, expected):
+    # the public evaluator, caps and all, reproduces every golden from its text
+    report = recipe(ambient, degrees)
+    assert report.count == expected
+    assert f"query:         {report.query}" in report.describe()
+    assert dsl.evaluate(report.query).value == expected
+
+
+def test_report_query_text():
+    assert lines_on_complete_intersection(4, [5]).query == "integrate(c(6, sym(5, Sdual))) in G(2,5)"
+    assert lines_on_complete_intersection(5, [2, 4]).query == (
+        "integrate(c(8, sum(sym(2, Sdual), sym(4, Sdual)))) in G(2,6)"
+    )
+    assert conics_on_complete_intersection(5, [1, 5]).query == (
+        "integrate(c(14, sum(sym(1, Sdual), quotient(sym(5, Sdual), twist(sym(3, Sdual), -1)))))"
+        " in P(sym(2, Sdual)) over G(3,6)"
+    )
+    for report in (lines_on_complete_intersection(4, [3]), conics_on_quintic_type(9)):
+        assert report.query is None
+        assert "query:" not in report.describe()
+
+
+def test_recipes_ignore_the_dsl_size_caps(monkeypatch):
+    # recipes take any N; only the public evaluate stops a query past a cap
+    monkeypatch.setattr(dsl, "MAX_DIMENSION", 5)
+    recipes._count.cache_clear()
+    report = lines_on_complete_intersection(4, [5])
+    assert report.count == 2875
+    with pytest.raises(dsl.EvalError, match="above the cap of 5"):
+        dsl.evaluate(report.query)
 
 
 def test_expected_empty_when_rank_exceeds_dimension():
@@ -186,8 +225,9 @@ def test_clemens_dimension_count():
 
 def test_clemens_excess_vanishes_for_all_degrees():
     assert all(clemens_excess(d).excess == 0 for d in range(1, 1001))
-    with pytest.raises(ValueError):
-        clemens_excess(0)
+    for bad in (0, 1.0, 2.5, "1", True):
+        with pytest.raises(ValueError):
+            clemens_excess(bad)
 
 
 def test_normal_bundle_classification():
@@ -198,8 +238,9 @@ def test_normal_bundle_classification():
         assert split.a + split.b == -2
         assert (split.classification == "rigid") == (split.a == split.b == -1)
         assert split.h0 == max(a + 1, 0) + max(-1 - a, 0)
-    with pytest.raises(ValueError):
-        normal_bundle_classify("0")
+    for bad in ("0", -1.0, 0.5, True, False):
+        with pytest.raises(ValueError):
+            normal_bundle_classify(bad)
 
 
 def test_equivalence_zero_dim_point():
@@ -226,6 +267,11 @@ def test_equivalence_unobstructed():
         equivalence_unobstructed(2, [0, 20])
     with pytest.raises(ValueError):
         equivalence_unobstructed(-1)
+    # nothing rounds: a non-int dimension or integral is an error
+    for family_dim, integrals in ((1, [0, 20.7]), (1, {1: "20"}), (1, [0, 20.0]), (1, [0, True]),
+                                  (1.0, [0, 20]), (True, [0, 20]), (0.0, None)):
+        with pytest.raises(ValueError):
+            equivalence_unobstructed(family_dim, integrals)
 
 
 def test_multiple_cover_weights_are_inverse_cubes():
@@ -234,8 +280,9 @@ def test_multiple_cover_weights_are_inverse_cubes():
     # the weights stay exact rationals, no floats anywhere
     assert 8 * multiple_cover_weight(2) == 1
     assert isinstance(multiple_cover_weight(7), Fraction)
-    with pytest.raises(ValueError):
-        multiple_cover_weight(0)
+    for bad in (0, True, 2.0, 1.5, "2"):
+        with pytest.raises(ValueError):
+            multiple_cover_weight(bad)
 
 
 def test_builtin_ledgers_all_balance():

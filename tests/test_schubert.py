@@ -42,6 +42,10 @@ def test_partition_rejects_bad_input():
         Partition((1, 2))
     with pytest.raises(ValueError):
         Partition((2, -1))
+    # nothing rounds: a part that is not an int is an error
+    for parts in ((2.7, 1.2), (2.0, 1), ("2", 1), (True,), (1, False)):
+        with pytest.raises(ValueError):
+            Partition(parts)
 
 
 @given(partitions)
@@ -151,6 +155,9 @@ def test_out_of_box_class_rejected():
         schubert_class(G24, (3,))
     with pytest.raises(ValueError):
         SchubertCycle(G24, {Partition((1, 1, 1)): 1})
+    for coeff in (2.5, 2.0, "2", True):
+        with pytest.raises(ValueError):
+            SchubertCycle(G24, {(1,): coeff})
 
 
 def test_cycles_from_different_contexts_do_not_mix():
