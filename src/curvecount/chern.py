@@ -19,7 +19,6 @@ share across threads.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -28,32 +27,8 @@ from .schubert import GrassCtx, SchubertCycle, chern_tautological, schubert_clas
 from .schubert import integrate as _grass_integrate
 
 
-class GradedRing(ABC):
-    """Handle for a commutative graded ring with integer integration.
-
-    Elements must support +, -, * (with each other and with ints),
-    nonnegative integer powers and component(degree), their homogeneous
-    part of that degree.  Multiplication adds degrees and anything
-    above top_degree is identically zero in the ring.
-    """
-
-    @property
-    @abstractmethod
-    def top_degree(self) -> int: ...
-
-    @abstractmethod
-    def one(self): ...
-
-    @abstractmethod
-    def zero(self): ...
-
-    @abstractmethod
-    def integrate(self, x) -> int:
-        """Integer degree of the top-degree part of x."""
-
-
 @dataclass(frozen=True)
-class GrassRing(GradedRing):
+class GrassRing:
     """The Chow ring of G(k, n) as a graded ring handle."""
 
     ctx: GrassCtx
@@ -186,9 +161,15 @@ class ChernVector:
     classes[i] is c_{i+1}, stored for i < min(rank, top degree); c_0 is the
     ring unit implicitly, and classes above the ring's top degree vanish and
     are not stored, so rank may be arbitrarily large.
+
+    The ring is a handle (GrassRing or ProjBundleRing) with top_degree,
+    one(), zero() and integrate(x), the integer degree of the top-degree
+    part of x.  Its elements support +, -, * (with each other and with
+    ints), nonnegative integer powers and component(degree), their
+    homogeneous part of that degree; products above top_degree vanish.
     """
 
-    ring: GradedRing
+    ring: object
     rank: int
     classes: tuple
 
@@ -200,7 +181,7 @@ class ChernVector:
             raise ValueError(f"expected {depth} classes, got {len(self.classes)}")
 
     @classmethod
-    def trivial(cls, ring: GradedRing, rank: int) -> "ChernVector":
+    def trivial(cls, ring, rank: int) -> "ChernVector":
         return cls(ring, rank, tuple(ring.zero() for _ in range(min(rank, ring.top_degree))))
 
     def c(self, i: int):
@@ -225,7 +206,7 @@ class ChernVector:
         return acc
 
 
-def _series_mul(a: list, b: list, ring: GradedRing, top: int) -> list:
+def _series_mul(a: list, b: list, ring, top: int) -> list:
     # zero entries (classes above a base's top degree, say) are skipped
     out = []
     for d in range(top + 1):
@@ -237,7 +218,7 @@ def _series_mul(a: list, b: list, ring: GradedRing, top: int) -> list:
     return out
 
 
-def _series_inv(a: list, ring: GradedRing, top: int) -> list:
+def _series_inv(a: list, ring, top: int) -> list:
     if a[0] != ring.one():
         raise ValueError("total class series must start with the ring unit")
     inv = [ring.one()]
@@ -308,9 +289,9 @@ def tensor_line(e: ChernVector, ell) -> ChernVector:
     for i in range(1, top + 1):
         acc = ring.zero()
         for j in range(i + 1):
-            factor = comb(r - j, i - j)
-            if factor:
-                acc = acc + factor * (e.c(j) * ell_pow[i - j])
+            cj = e.c(j)
+            if cj:  # classes above a base's top degree pull back to zero
+                acc = acc + comb(r - j, i - j) * (cj * ell_pow[i - j])
         classes.append(acc)
     return ChernVector(ring, r, tuple(classes))
 

@@ -23,7 +23,6 @@ from . import dsl
 from .recipes import (
     builtin_ledgers,
     conics_on_complete_intersection,
-    conics_on_quintic_type,
     equivalence_unobstructed,
     ledger_check,
     lines_on_complete_intersection,
@@ -69,11 +68,8 @@ def build_parser() -> _Parser:
     intersection.add_argument("--degrees", type=_int_list, metavar="d1,d2,...",
                               help="degrees of the defining equations")
     for curve in _COUNTERS:
-        p_curve = count_sub.add_parser(curve, parents=[_json_flag(), intersection],
-                                       help=f"{curve} on a complete intersection")
-        if curve == "conics":
-            p_curve.add_argument("--degree", type=int, metavar="d",
-                                 help="shorthand for --ambient 4 --degrees d")
+        count_sub.add_parser(curve, parents=[_json_flag(), intersection],
+                             help=f"{curve} on a complete intersection")
 
     p_equiv = sub.add_parser("equivalence", parents=[_json_flag()],
                              help="contribution of a family or a multiple cover")
@@ -154,17 +150,10 @@ def _report_payload(report, elapsed: float) -> dict:
 
 def _cmd_count(args) -> int:
     start = time.perf_counter()
-    given = args.ambient is not None, args.degrees is not None
     try:
-        if getattr(args, "degree", None) is not None:
-            if any(given):
-                raise ValueError("--degree is shorthand for --ambient 4 --degrees d; do not combine them")
-            report = conics_on_quintic_type(args.degree)
-        elif all(given):
-            report = _COUNTERS[args.recipe](args.ambient, args.degrees)
-        else:
-            alternative = " (or --degree)" if args.recipe == "conics" else ""
-            raise ValueError(f"count {args.recipe} needs --ambient and --degrees{alternative}")
+        if args.ambient is None or args.degrees is None:
+            raise ValueError(f"count {args.recipe} needs --ambient and --degrees")
+        report = _COUNTERS[args.recipe](args.ambient, args.degrees)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -22,6 +22,9 @@ Grammar (LL(1), whitespace insensitive):
               | "quotient" "(" bundle "," bundle ")"
               | "sum" "(" bundle { "," bundle } ")"
 
+INT is a run of the ASCII digits 0-9 and a name is [A-Za-z_][A-Za-z0-9_]*;
+any other non-space character is a syntax error.
+
 sigma[...] names a Schubert class of the base Grassmannian, zeta the
 hyperplane class of a projective-bundle context, twist(B, p) tensors B
 by the p-th power of O_P(1), and sum(B, ...) is the Whitney sum.  In a
@@ -43,6 +46,7 @@ any computation starts:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from math import comb
 
@@ -191,43 +195,23 @@ class Query:
 
 # ------------------------------------------------------------------- lexer
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "int" | "name" | "punct" | "eof"
-    text: str
-    offset: int
+# an integer, a name or a punctuation mark; the group catches any other
+# non-space character, and whitespace between tokens is never matched
+_TOKEN = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[\[\](),+\-*^]|(\S)")
 
 
-_PUNCT = set("[](),+-*^")
-
-
-def _lex(src: str) -> list:
-    tokens = []
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(src) and src[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", src[i:j], i))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(src) and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", src[i:j], i))
-            i = j
-        elif ch in _PUNCT:
-            tokens.append(_Token("punct", ch, i))
-            i += 1
-        else:
-            line, col = _line_col(src, i)
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", "", len(src)))
-    return tokens
+def _lex(src: str):
+    """Token texts and their offsets; the empty text marks the end of input."""
+    texts, offsets = [], []
+    for m in _TOKEN.finditer(src):
+        if m.lastindex:
+            line, col = _line_col(src, m.start())
+            raise ParseError(f"unexpected character {m.group()!r}", line, col)
+        texts.append(m.group())
+        offsets.append(m.start())
+    texts.append("")
+    offsets.append(len(src))
+    return texts, offsets
 
 
 def _line_col(src: str, offset: int):
@@ -237,94 +221,77 @@ def _line_col(src: str, offset: int):
 
 
 class _Parser:
+    # names, integers and punctuation marks never share a text, so a token
+    # is identified by its text alone
     def __init__(self, src: str):
         self.src = src
-        self.tokens = _lex(src)
+        self.texts, self.offsets = _lex(src)
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def at(self, text: str) -> bool:
+        return self.texts[self.pos] == text
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def advance(self) -> str:
+        text = self.texts[self.pos]
         self.pos += 1
-        return tok
+        return text
 
     def fail(self, expected) -> ParseError:
-        tok = self.peek()
-        line, col = _line_col(self.src, tok.offset)
-        got = "end of input" if tok.kind == "eof" else repr(tok.text)
+        text = self.texts[self.pos]
+        line, col = _line_col(self.src, self.offsets[self.pos])
+        got = repr(text) if text else "end of input"
         return ParseError(f"unexpected {got}", line, col, expected)
 
-    def eat_punct(self, ch: str) -> None:
-        tok = self.peek()
-        if tok.kind == "punct" and tok.text == ch:
-            self.advance()
-            return
-        raise self.fail((f"'{ch}'",))
-
-    def eat_name(self, word: str) -> None:
-        tok = self.peek()
-        if tok.kind == "name" and tok.text == word:
-            self.advance()
-            return
-        raise self.fail((f"'{word}'",))
+    def eat(self, text: str) -> None:
+        if self.texts[self.pos] != text:
+            raise self.fail((f"'{text}'",))
+        self.pos += 1
 
     def eat_int(self) -> int:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
-            return int(tok.text)
+        if self.texts[self.pos].isdigit():
+            return int(self.advance())
         raise self.fail(("an integer",))
-
-    def at_punct(self, ch: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.text == ch
-
-    def at_name(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "name" and tok.text == word
 
     # grammar productions
 
     def query(self) -> Query:
         expr = self.expr()
-        self.eat_name("in")
+        self.eat("in")
         ctx = self.context()
-        if self.peek().kind != "eof":
+        if not self.at(""):
             raise self.fail(("end of input",))
         return Query(expr, ctx)
 
     def context(self):
-        if self.at_name("G"):
+        if self.at("G"):
             k, n = self.grass()
             return GrassContext(k, n)
-        if self.at_name("P"):
+        if self.at("P"):
             self.advance()
-            self.eat_punct("(")
+            self.eat("(")
             bundle = self.bundle()
-            self.eat_punct(")")
-            self.eat_name("over")
+            self.eat(")")
+            self.eat("over")
             k, n = self.grass()
             return BundleContext(bundle, k, n)
         raise self.fail(("'G'", "'P'"))
 
     def grass(self):
-        self.eat_name("G")
-        self.eat_punct("(")
+        self.eat("G")
+        self.eat("(")
         k = self.eat_int()
-        self.eat_punct(",")
+        self.eat(",")
         n = self.eat_int()
-        self.eat_punct(")")
+        self.eat(")")
         return k, n
 
     def expr(self):
         node = self.term()
         while True:
-            if self.at_punct("+"):
+            if self.at("+"):
                 self.advance()
                 node = Add(node, self.term())
-            elif self.at_punct("-"):
+            elif self.at("-"):
                 self.advance()
                 node = Sub(node, self.term())
             else:
@@ -332,115 +299,111 @@ class _Parser:
 
     def term(self):
         node = self.factor()
-        while self.at_punct("*"):
+        while self.at("*"):
             self.advance()
             node = Mul(node, self.factor())
         return node
 
     def factor(self):
-        if self.at_punct("-"):
+        if self.at("-"):
             self.advance()
             return Neg(self.factor())
         return self.power()
 
     def power(self):
         node = self.atom()
-        if self.at_punct("^"):
+        if self.at("^"):
             self.advance()
             return Pow(node, self.eat_int())
         return node
 
     def atom(self):
-        tok = self.peek()
-        if tok.kind == "int":
+        if self.texts[self.pos].isdigit():
             return IntLit(self.eat_int())
-        if self.at_punct("("):
+        if self.at("("):
             self.advance()
             node = self.expr()
-            self.eat_punct(")")
+            self.eat(")")
             return node
-        if self.at_name("sigma"):
+        if self.at("sigma"):
             self.advance()
-            self.eat_punct("[")
+            self.eat("[")
             parts = []
-            if not self.at_punct("]"):
+            if not self.at("]"):
                 parts.append(self.eat_int())
                 while True:
-                    if self.at_punct(","):
+                    if self.at(","):
                         self.advance()
                         parts.append(self.eat_int())
-                    elif self.at_punct("]"):
+                    elif self.at("]"):
                         break
                     else:
                         raise self.fail(("','", "']'"))
-            self.eat_punct("]")
+            self.eat("]")
             return Sigma(tuple(parts))
-        if self.at_name("zeta"):
+        if self.at("zeta"):
             self.advance()
             return Zeta()
-        if self.at_name("integrate"):
+        if self.at("integrate"):
             self.advance()
-            self.eat_punct("(")
+            self.eat("(")
             inner = self.expr()
-            self.eat_punct(")")
+            self.eat(")")
             return IntegrateNode(inner)
-        if self.at_name("c"):
+        if self.at("c"):
             self.advance()
-            self.eat_punct("(")
+            self.eat("(")
             index = self.eat_int()
-            self.eat_punct(",")
+            self.eat(",")
             bundle = self.bundle()
-            self.eat_punct(")")
+            self.eat(")")
             return ChernOf(index, bundle)
         raise self.fail(("an integer", "'sigma'", "'zeta'", "'integrate'", "'c'", "'('"))
 
     def bundle(self):
-        for name in ("S", "Sdual", "Q"):
-            if self.at_name(name):
-                self.advance()
-                return BundleAtom(name)
-        if self.at_name("sym"):
+        if self.texts[self.pos] in ("S", "Sdual", "Q"):
+            return BundleAtom(self.advance())
+        if self.at("sym"):
             self.advance()
-            self.eat_punct("(")
+            self.eat("(")
             m = self.eat_int()
-            self.eat_punct(",")
+            self.eat(",")
             inner = self.bundle()
-            self.eat_punct(")")
+            self.eat(")")
             return Sym(m, inner)
-        if self.at_name("dual"):
+        if self.at("dual"):
             self.advance()
-            self.eat_punct("(")
+            self.eat("(")
             inner = self.bundle()
-            self.eat_punct(")")
+            self.eat(")")
             return Dual(inner)
-        if self.at_name("twist"):
+        if self.at("twist"):
             self.advance()
-            self.eat_punct("(")
+            self.eat("(")
             inner = self.bundle()
-            self.eat_punct(",")
-            negative = False
-            if self.at_punct("-"):
+            self.eat(",")
+            negative = self.at("-")
+            if negative:
                 self.advance()
-                negative = True
             p = self.eat_int()
-            self.eat_punct(")")
+            self.eat(")")
             return Twist(inner, -p if negative else p)
-        if self.at_name("quotient"):
+        if self.at("quotient"):
             self.advance()
-            self.eat_punct("(")
+            self.eat("(")
             num = self.bundle()
-            self.eat_punct(",")
+            self.eat(",")
             den = self.bundle()
-            self.eat_punct(")")
+            self.eat(")")
             return Quotient(num, den)
-        if self.at_name("sum"):
+        if self.at("sum"):
             self.advance()
-            self.eat_punct("(")
+            self.eat("(")
             summands = [self.bundle()]
-            while self.at_punct(","):
+            while self.at(","):
                 self.advance()
                 summands.append(self.bundle())
-            self.eat_punct(")")
+            self.eat(")")
             return Sum(tuple(summands))
         raise self.fail(("'S'", "'Sdual'", "'Q'", "'sym'", "'dual'", "'twist'", "'quotient'", "'sum'"))
 

@@ -23,11 +23,11 @@ exercised by the test suite.
 
 from __future__ import annotations
 
-from .chern import ChernVector, GradedRing, GrassRing
+from .chern import ChernVector, GrassRing
 from .schubert import _EMPTY, SchubertCycle, _basis_order, _basis_product, _Element
 
 
-class ProjBundleRing(GradedRing):
+class ProjBundleRing:
     """Graded ring handle for P(E), E a bundle over a Grassmannian ring."""
 
     def __init__(self, bundle: ChernVector):

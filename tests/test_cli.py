@@ -64,6 +64,13 @@ def test_grass_syntax_error_exits_one(capsys):
     assert "column 8" in err
 
 
+def test_grass_non_ascii_digit_is_a_syntax_error(capsys):
+    code, out, err = run_cli(capsys, "grass", "sigma[²] in G(2,4)")
+    assert code == 1
+    assert out == ""
+    assert err.strip() == "syntax error at line 1, column 7: unexpected character '²'"
+
+
 def test_grass_semantic_error_exits_one(capsys):
     code, _, err = run_cli(capsys, "grass", "zeta in G(2,4)")
     assert code == 1
@@ -133,12 +140,12 @@ def test_count_expected_empty_json(capsys):
     assert code == 0
     assert payload["outcome"] == {"family_dimension": -1}
     assert payload["expected_empty"] is True
-    _, quintic = run_json(capsys, "count", "conics", "--json", "--degree", "5")
+    _, quintic = run_json(capsys, "count", "conics", "--json", "--ambient", "4", "--degrees", "5")
     assert quintic["expected_empty"] is False
 
 
 def test_count_conics_json(capsys):
-    code, payload = run_json(capsys, "count", "conics", "--json", "--degree", "5")
+    code, payload = run_json(capsys, "count", "conics", "--json", "--ambient", "4", "--degrees", "5")
     assert code == 0
     assert payload["outcome"] == {"count": 609250}
     assert payload["recipe"] == "conics"
@@ -152,19 +159,9 @@ def test_count_conics_ci_json(capsys):
     assert payload["calabi_yau"] is True
 
 
-def test_count_conics_degree_is_quintic_shorthand(capsys):
-    _, short = run_json(capsys, "count", "conics", "--json", "--degree", "3")
-    _, full = run_json(capsys, "count", "conics", "--json", "--ambient", "4", "--degrees", "3")
-    short.pop("timings_ms"), full.pop("timings_ms")
-    assert short == full
-    assert short["outcome"] == {"family_dimension": 4}
-
-
 @pytest.mark.parametrize(
     "argv",
     [
-        ["conics", "--degree", "5", "--degrees", "5"],
-        ["conics", "--degree", "5", "--ambient", "4"],
         ["conics"],
         ["lines", "--degrees", "5"],
         ["lines", "--ambient", "4"],
@@ -181,7 +178,7 @@ def test_count_bad_input_exits_one(capsys):
     code, _, err = run_cli(capsys, "count", "lines", "--ambient", "2", "--degrees", "5")
     assert code == 1
     assert "error" in err
-    code, _, err = run_cli(capsys, "count", "conics", "--degree", "1")
+    code, _, err = run_cli(capsys, "count", "conics", "--ambient", "2", "--degrees", "5")
     assert code == 1
 
 

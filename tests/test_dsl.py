@@ -109,9 +109,94 @@ def test_syntax_error_positions():
         parse("sigma[1] in G(2,4) in G(2,5)")
 
 
+@pytest.mark.parametrize(
+    "text, diagnostic, line, column, expected",
+    [
+        (
+            "sigma[1] @ sigma[2] in G(2,4)",
+            "syntax error at line 1, column 10: unexpected character '@'",
+            1, 10, (),
+        ),
+        (
+            "sigma[1] in\n  G(2,4) $",
+            "syntax error at line 2, column 10: unexpected character '$'",
+            2, 10, (),
+        ),
+        (
+            "c 1, S) in G(2,4)",
+            "syntax error at line 1, column 3: unexpected '1' (expected '(')",
+            1, 3, ("'('",),
+        ),
+        (
+            "sigma[1] G(2,4)",
+            "syntax error at line 1, column 10: unexpected 'G' (expected 'in')",
+            1, 10, ("'in'",),
+        ),
+        (
+            "zeta in P(S) G(2,4)",
+            "syntax error at line 1, column 14: unexpected 'G' (expected 'over')",
+            1, 14, ("'over'",),
+        ),
+        (
+            "zeta in P(S) over H(2,4)",
+            "syntax error at line 1, column 19: unexpected 'H' (expected 'G')",
+            1, 19, ("'G'",),
+        ),
+        (
+            "sigma[1]^x in G(2,4)",
+            "syntax error at line 1, column 10: unexpected 'x' (expected an integer)",
+            1, 10, ("an integer",),
+        ),
+        (
+            "sigma[1] + in G(2,4)",
+            "syntax error at line 1, column 12: unexpected 'in' "
+            "(expected an integer or 'sigma' or 'zeta' or 'integrate' or 'c' or '(')",
+            1, 12, ("an integer", "'sigma'", "'zeta'", "'integrate'", "'c'", "'('"),
+        ),
+        (
+            "c(1, T) in G(2,4)",
+            "syntax error at line 1, column 6: unexpected 'T' "
+            "(expected 'S' or 'Sdual' or 'Q' or 'sym' or 'dual' or 'twist' or 'quotient' or 'sum')",
+            1, 6, ("'S'", "'Sdual'", "'Q'", "'sym'", "'dual'", "'twist'", "'quotient'", "'sum'"),
+        ),
+        (
+            "sigma[1] in H(2,4)",
+            "syntax error at line 1, column 13: unexpected 'H' (expected 'G' or 'P')",
+            1, 13, ("'G'", "'P'"),
+        ),
+        (
+            "sigma[1] in G(2,4) trailing",
+            "syntax error at line 1, column 20: unexpected 'trailing' (expected end of input)",
+            1, 20, ("end of input",),
+        ),
+        (
+            "sigma[1 2] in G(2,4)",
+            "syntax error at line 1, column 9: unexpected '2' (expected ',' or ']')",
+            1, 9, ("','", "']'"),
+        ),
+        (
+            "sigma[1] in\nG(2,4",
+            "syntax error at line 2, column 6: unexpected end of input (expected ')')",
+            2, 6, ("')'",),
+        ),
+    ],
+)
+def test_parse_error_diagnostics(text, diagnostic, line, column, expected):
+    # one case per place the parser can fail; the values are pinned
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.diagnostic() == diagnostic
+    assert (err.value.line, err.value.column, err.value.expected) == (line, column, expected)
+
+
 def test_unknown_characters_rejected():
     with pytest.raises(ParseError):
         parse("sigma[1] @ sigma[2] in G(2,4)")
+    # integers are ASCII digits: an Arabic-Indic four is not an exponent
+    with pytest.raises(ParseError) as err:
+        parse("integrate(sigma[1]^٤) in G(2,4)")
+    assert err.value.args[0] == "unexpected character '٤'"
+    assert (err.value.line, err.value.column) == (1, 20)
 
 
 def test_render_canonical_spacing():

@@ -185,14 +185,13 @@ def test_quintic_conic_count_through_raw_ring_ops():
 
 def test_series_loops_skip_empty_operands(monkeypatch):
     # classes of Sym^d S* above the base's top degree pull back to zero;
-    # the Whitney series products must not spend a product on them
+    # the twist and the Whitney series products must not spend a product on them
     import curvecount.projbundle as projbundle
     from curvecount.chern import direct_sum, tensor_line, whitney_quotient
 
     pb = conic_ring()
     sdual = pb.base.tautological("sub_dual")
-    pairs = [(pb.pullback(sym_power(sdual, d)), tensor_line(pb.pullback(sym_power(sdual, d - 2)), -pb.zeta(1)))
-             for d in (5, 3)]
+    pulled = {d: pb.pullback(sym_power(sdual, d)) for d in (1, 3, 5)}
     operands = []
     inner = projbundle.pb_multiply
 
@@ -201,6 +200,7 @@ def test_series_loops_skip_empty_operands(monkeypatch):
         return inner(a, b)
 
     monkeypatch.setattr(projbundle, "pb_multiply", counting)
+    pairs = [(pulled[d], tensor_line(pulled[d - 2], -pb.zeta(1))) for d in (5, 3)]
     quotients = [whitney_quotient(forms, ideal) for forms, ideal in pairs]
     total = direct_sum(*quotients, pb.pullback(sdual))
     assert operands and all(a and b for a, b in operands)
