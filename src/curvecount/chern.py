@@ -19,19 +19,17 @@ share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .schubert import GrassCtx, SchubertCycle, chern_tautological, schubert_class
+from .schubert import SchubertCycle, _Record, chern_tautological, schubert_class
 from .schubert import integrate as _grass_integrate
 
 
-@dataclass(frozen=True)
-class GrassRing:
+class GrassRing(_Record):
     """The Chow ring of G(k, n) as a graded ring handle."""
 
-    ctx: GrassCtx
+    _fields = ("ctx",)
 
     @property
     def top_degree(self) -> int:
@@ -154,8 +152,7 @@ def _sym_chern_polys(r: int, m: int, top: int) -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class ChernVector:
+class ChernVector(_Record):
     """A bundle presented by its Chern classes in a graded ring.
 
     classes[i] is c_{i+1}, stored for i < min(rank, top degree); c_0 is the
@@ -169,16 +166,15 @@ class ChernVector:
     homogeneous part of that degree; products above top_degree vanish.
     """
 
-    ring: object
-    rank: int
-    classes: tuple
+    _fields = ("ring", "rank", "classes")
 
-    def __post_init__(self):
-        if self.rank < 0:
+    def __new__(cls, ring, rank: int, classes: tuple):
+        if rank < 0:
             raise ValueError("rank must be nonnegative")
-        depth = min(self.rank, self.ring.top_degree)
-        if len(self.classes) != depth:
-            raise ValueError(f"expected {depth} classes, got {len(self.classes)}")
+        depth = min(rank, ring.top_degree)
+        if len(classes) != depth:
+            raise ValueError(f"expected {depth} classes, got {len(classes)}")
+        return tuple.__new__(cls, (ring, rank, classes))
 
     @classmethod
     def trivial(cls, ring, rank: int) -> "ChernVector":
@@ -207,25 +203,27 @@ class ChernVector:
 
 
 def _series_mul(a: list, b: list, ring, top: int) -> list:
-    # zero entries (classes above a base's top degree, say) are skipped
-    out = []
-    for d in range(top + 1):
-        acc = ring.zero()
-        for i in range(d + 1):
-            if i < len(a) and d - i < len(b) and a[i] and b[d - i]:
+    # both series run through degree top and start with c_0 = 1, whose terms are
+    # added, not multiplied; zero entries (classes above a base's top degree) are skipped
+    out = [ring.one()]
+    for d in range(1, top + 1):
+        acc = a[d] + b[d]
+        for i in range(1, d):
+            if a[i] and b[d - i]:
                 acc = acc + a[i] * b[d - i]
         out.append(acc)
     return out
 
 
 def _series_inv(a: list, ring, top: int) -> list:
+    # a runs through degree top; the term a_d * inv_0 = a_d is added
     if a[0] != ring.one():
         raise ValueError("total class series must start with the ring unit")
     inv = [ring.one()]
     for d in range(1, top + 1):
-        acc = ring.zero()
-        for i in range(1, d + 1):
-            if i < len(a) and a[i] and inv[d - i]:
+        acc = a[d]
+        for i in range(1, d):
+            if a[i] and inv[d - i]:
                 acc = acc + a[i] * inv[d - i]
         inv.append(-acc)
     return inv
@@ -235,8 +233,8 @@ def sym_power(e: ChernVector, m: int) -> ChernVector:
     """Chern vector of Sym^m of e.
 
     The polynomials of _sym_chern_polys, truncated at the ring's top degree,
-    are evaluated at the classes of e; each monomial is one ring product of a
-    smaller monomial and one class.
+    are evaluated at the classes of e; each monomial of degree two or more is
+    one ring product of a smaller monomial and one class.
     """
     if not isinstance(m, int) or m < 0:
         raise ValueError(f"symmetric power must be a nonnegative integer, got {m}")
@@ -246,7 +244,8 @@ def sym_power(e: ChernVector, m: int) -> ChernVector:
     rank = comb(m + e.rank - 1, e.rank - 1)
     top = min(ring.top_degree, rank)
     polys = _sym_chern_polys(e.rank, m, top)
-    memo = {(0,) * min(e.rank, top): ring.one()}
+    nvars = min(e.rank, top)
+    memo = {tuple(int(j == i) for j in range(nvars)): e.classes[i] for i in range(nvars)}
 
     def monomial(expo):
         value = memo.get(expo)
@@ -287,8 +286,9 @@ def tensor_line(e: ChernVector, ell) -> ChernVector:
         ell_pow.append(ell_pow[-1] * ell)
     classes = []
     for i in range(1, top + 1):
-        acc = ring.zero()
-        for j in range(i + 1):
+        # j = 0 and j = i are products with c_0 = 1 and ell^0 = 1
+        acc = comb(r, i) * ell_pow[i] + e.c(i)
+        for j in range(1, i):
             cj = e.c(j)
             if cj:  # classes above a base's top degree pull back to zero
                 acc = acc + comb(r - j, i - j) * (cj * ell_pow[i - j])
@@ -308,8 +308,8 @@ def direct_sum(*bundles: ChernVector) -> ChernVector:
         raise ValueError("summands live in different rings")
     rank = sum(b.rank for b in bundles)
     top = min(rank, ring.top_degree)
-    series = [ring.one()] + [ring.zero()] * top
-    for b in bundles:
+    series = bundles[0].total_series(top)
+    for b in bundles[1:]:
         series = _series_mul(series, b.total_series(top), ring, top)
     return ChernVector(ring, rank, tuple(series[1:]))
 

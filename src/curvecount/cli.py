@@ -9,13 +9,15 @@ ledger check [FILE]   verify degeneration ledgers (builtin set by default)
 verify --suite NAME   run a self-check suite
 
 Every subcommand takes --json for machine-readable output.  Exit codes:
-0 on success, 1 on bad input or a failed verification, 2 on internal error.
+0 on success, 1 on bad input, a failed verification or a closed output
+pipe, 2 on internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -278,7 +280,15 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 0 if code is None else 1
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()  # a reader that closed the pipe shows up here, not at exit
+        return code
+    except BrokenPipeError:
+        # no output can reach the reader; send what is left to devnull, quietly
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except Exception as exc:  # anything a handler did not expect
         print(f"internal error: {exc}", file=sys.stderr)
         return 2

@@ -47,12 +47,11 @@ any computation starts:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import comb
 
 from .chern import ChernVector, GrassRing, direct_sum, dual_bundle, sym_power, tensor_line, whitney_quotient
 from .projbundle import PBElement, ProjBundleRing
-from .schubert import GrassCtx, SchubertCycle
+from .schubert import GrassCtx, SchubertCycle, _Record
 
 
 class DSLError(Exception):
@@ -86,111 +85,80 @@ MAX_EXPONENT = 64
 
 # ---------------------------------------------------------------- AST nodes
 
-@dataclass(frozen=True)
-class IntLit:
-    value: int
+class IntLit(_Record):
+    _fields = ("value",)
 
 
-@dataclass(frozen=True)
-class Sigma:
-    parts: tuple
+class Sigma(_Record):
+    _fields = ("parts",)
 
 
-@dataclass(frozen=True)
-class Zeta:
+class Zeta(_Record):
     pass
 
 
-@dataclass(frozen=True)
-class ChernOf:
-    index: int
-    bundle: object
+class ChernOf(_Record):
+    _fields = ("index", "bundle")
 
 
-@dataclass(frozen=True)
-class IntegrateNode:
-    expr: object
+class IntegrateNode(_Record):
+    _fields = ("expr",)
 
 
-@dataclass(frozen=True)
-class Neg:
-    expr: object
+class Neg(_Record):
+    _fields = ("expr",)
 
 
-@dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
+class Add(_Record):
+    _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
+class Sub(_Record):
+    _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
+class Mul(_Record):
+    _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
+class Pow(_Record):
+    _fields = ("base", "exponent")
 
 
-@dataclass(frozen=True)
-class BundleAtom:
-    name: str  # "S" | "Sdual" | "Q"
+class BundleAtom(_Record):
+    _fields = ("name",)  # name: "S" | "Sdual" | "Q"
 
 
-@dataclass(frozen=True)
-class Sym:
-    power: int
-    bundle: object
+class Sym(_Record):
+    _fields = ("power", "bundle")
 
 
-@dataclass(frozen=True)
-class Dual:
-    bundle: object
+class Dual(_Record):
+    _fields = ("bundle",)
 
 
-@dataclass(frozen=True)
-class Twist:
-    bundle: object
-    power: int
+class Twist(_Record):
+    _fields = ("bundle", "power")
 
 
-@dataclass(frozen=True)
-class Quotient:
-    numerator: object
-    denominator: object
+class Quotient(_Record):
+    _fields = ("numerator", "denominator")
 
 
-@dataclass(frozen=True)
-class Sum:
-    summands: tuple
+class Sum(_Record):
+    _fields = ("summands",)
 
 
-@dataclass(frozen=True)
-class GrassContext:
-    k: int
-    n: int
+class GrassContext(_Record):
+    _fields = ("k", "n")
 
 
-@dataclass(frozen=True)
-class BundleContext:
-    bundle: object
-    k: int
-    n: int
+class BundleContext(_Record):
+    _fields = ("bundle", "k", "n")
 
 
-@dataclass(frozen=True)
-class Query:
-    expr: object
-    context: object
+class Query(_Record):
+    _fields = ("expr", "context")
 
 
 # ------------------------------------------------------------------- lexer
@@ -248,9 +216,14 @@ class _Parser:
         self.pos += 1
 
     def eat_int(self) -> int:
-        if self.texts[self.pos].isdigit():
-            return int(self.advance())
-        raise self.fail(("an integer",))
+        if not self.texts[self.pos].isdigit():
+            raise self.fail(("an integer",))
+        try:
+            value = int(self.texts[self.pos])
+        except ValueError:  # past the interpreter's limit on integer string conversion
+            raise ParseError("integer literal too long", *_line_col(self.src, self.offsets[self.pos])) from None
+        self.pos += 1
+        return value
 
     # grammar productions
 
@@ -492,12 +465,8 @@ def render(node) -> str:
 
 # --------------------------------------------------------------- evaluator
 
-@dataclass(frozen=True)
-class EvalResult:
-    kind: str  # "integer" | "cycle"
-    value: object
-    rendered: str
-    context: str
+class EvalResult(_Record):
+    _fields = ("kind", "value", "rendered", "context")  # kind: "integer" | "cycle"
 
 
 def _resolve_context(node):

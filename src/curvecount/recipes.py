@@ -25,16 +25,15 @@ conserved total.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import os
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
 
 from . import dsl
+from .schubert import _Record
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(_Record):
     """Outcome of a counting recipe.
 
     Exactly one of count / family_dimension is set: a count requires the
@@ -44,22 +43,18 @@ class CountReport:
     the count (None when there is no count).
     """
 
-    recipe: str
-    ambient_dim: int
-    degrees: tuple
-    moduli_dim: int
-    bundle_rank: int
-    count: int | None
-    family_dimension: int | None
-    calabi_yau: bool
-    query: str | None = None
+    _fields = ("recipe", "ambient_dim", "degrees", "moduli_dim", "bundle_rank", "count", "family_dimension",
+               "calabi_yau", "query")
 
-    def __post_init__(self):
-        balanced = self.bundle_rank == self.moduli_dim
-        if balanced and (self.count is None or self.family_dimension is not None):
+    def __new__(cls, recipe: str, ambient_dim: int, degrees: tuple, moduli_dim: int, bundle_rank: int,
+                count: int | None, family_dimension: int | None, calabi_yau: bool, query: str | None = None):
+        balanced = bundle_rank == moduli_dim
+        if balanced and (count is None or family_dimension is not None):
             raise ValueError("balanced recipe must carry a count and no family dimension")
-        if not balanced and (self.count is not None or self.family_dimension is None):
+        if not balanced and (count is not None or family_dimension is None):
             raise ValueError("unbalanced recipe must carry a family dimension and no count")
+        return tuple.__new__(cls, (recipe, ambient_dim, degrees, moduli_dim, bundle_rank, count,
+                                   family_dimension, calabi_yau, query))
 
     @property
     def expected_empty(self) -> bool:
@@ -161,8 +156,7 @@ def conics_on_quintic_type(degree: int) -> CountReport:
     return _count("conics", 4, (degree,))
 
 
-@dataclass(frozen=True)
-class ClemensCount:
+class ClemensCount(_Record):
     """Dimension bookkeeping for degree-d rational curves on a quintic.
 
     A degree-d map from P^1 to P^4 has 5(d+1) coefficients; lying on the
@@ -171,10 +165,7 @@ class ClemensCount:
     finite number.
     """
 
-    degree: int
-    parameters: int
-    conditions: int
-    reparametrizations: int
+    _fields = ("degree", "parameters", "conditions", "reparametrizations")
 
     @property
     def excess(self) -> int:
@@ -189,15 +180,11 @@ def clemens_excess(degree: int) -> ClemensCount:
     return ClemensCount(degree, 5 * (degree + 1), 5 * degree + 1, 4)
 
 
-@dataclass(frozen=True)
-class NormalBundleSplit:
+class NormalBundleSplit(_Record):
     """Splitting type O(a) + O(b) of the normal bundle of a rational curve
     on a Calabi-Yau threefold, with a + b = -2."""
 
-    a: int
-    b: int
-    h0: int
-    classification: str
+    _fields = ("a", "b", "h0", "classification")
 
 
 def normal_bundle_classify(a: int) -> NormalBundleSplit:
@@ -280,42 +267,35 @@ def multiple_cover_weight(cover_degree: int) -> Fraction:
     return Fraction(1, cover_degree**3)
 
 
-@dataclass(frozen=True)
-class LedgerComponent:
+class LedgerComponent(_Record):
     """One boundary component: its label, its equivalence (contribution per
     member), and how many members it has (default 1)."""
 
-    label: str
-    equivalence: int
-    count: int = 1
+    _fields = ("label", "equivalence", "count")
+
+    def __new__(cls, label: str, equivalence: int, count: int = 1):
+        return tuple.__new__(cls, (label, equivalence, count))
 
     @property
     def contribution(self) -> int:
         return self.equivalence * self.count
 
 
-@dataclass(frozen=True)
-class DegenerationLedger:
+class DegenerationLedger(_Record):
     """A conserved total and the components it is supposed to split into
     when the variety degenerates."""
 
-    name: str
-    total: int
-    components: tuple
+    _fields = ("name", "total", "components")
 
     @property
     def computed(self) -> int:
         return sum(c.contribution for c in self.components)
 
 
-@dataclass(frozen=True)
-class LedgerReport:
+class LedgerReport(_Record):
     """Result of checking one ledger; a failure is data, not an error."""
 
-    name: str
-    total: int
-    computed: int
-    ok: bool
+    _fields = ("name", "total", "computed", "ok")
 
     @property
     def residual(self) -> int:
@@ -352,7 +332,7 @@ def _parse_ledger(obj, origin: str) -> DegenerationLedger:
 
 
 def _load_data():
-    with resources.files("curvecount.data").joinpath("degenerations.json").open("r") as fh:
+    with open(os.path.join(os.path.dirname(__file__), "data", "degenerations.json")) as fh:
         return json.load(fh)
 
 

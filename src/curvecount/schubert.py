@@ -29,7 +29,7 @@ store the same tuple twice.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from operator import itemgetter
 
 
 class Partition(tuple):
@@ -85,26 +85,65 @@ def _basis_order(lam: Partition) -> tuple:
 _TABLES: dict = {}
 
 
-@dataclass(frozen=True)
-class GrassCtx:
+class _Record(tuple):
+    """Immutable record with named fields, the base of the package's value
+    types; a subclass names its fields in _fields.  Records of different
+    types never compare equal, and the tuple behaviour (len, indexing,
+    ordering) is not part of any record's interface.
+    """
+
+    _fields = ()
+
+    def __init_subclass__(cls):
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, property(itemgetter(i)))
+
+    def __new__(cls, *values):
+        if len(values) != len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes {len(cls._fields)} fields, got {len(values)}")
+        return tuple.__new__(cls, values)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return tuple.__eq__(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
+
+    __ne__ = object.__ne__  # the inverse of __eq__; tuple's would compare the items alone
+    __hash__ = tuple.__hash__
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class GrassCtx(_Record):
     """The Grassmannian G(k, n) of k-dimensional subspaces of C^n.
 
     _table, not a field, is the product table of G(k, n), the same dict for
     every equal context.
     """
 
-    k: int
-    n: int
+    _fields = ("k", "n")
 
-    def __post_init__(self):
-        if not (isinstance(self.k, int) and isinstance(self.n, int)):
+    def __new__(cls, k: int, n: int):
+        if not (isinstance(k, int) and isinstance(n, int)):
             raise ValueError("k and n must be integers")
-        if not 0 < self.k < self.n:
-            raise ValueError(f"need 0 < k < n, got k={self.k}, n={self.n}")
-        object.__setattr__(self, "_table", _TABLES.setdefault((self.k, self.n), {}))
+        if not 0 < k < n:
+            raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
+        self = tuple.__new__(cls, (k, n))
+        object.__setattr__(self, "_table", _TABLES.setdefault((k, n), {}))
+        return self
 
     def __reduce__(self):
-        # rebuild through __init__, so that a copy shares the table
+        # rebuild through __new__, so that a copy shares the table
         return GrassCtx, (self.k, self.n)
 
     @property
@@ -236,12 +275,13 @@ class _Element:
     __rmul__ = __mul__
 
     def __pow__(self, exponent):
-        # repeated multiplication by the base: squaring reaches basis
-        # products that repeated Pieri steps never need, and measured slower
+        # repeated multiplication by the base, starting from the base, not the
+        # unit: squaring reaches basis products that repeated Pieri steps
+        # never need, and measured slower
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("powers need a nonnegative integer exponent")
-        out = self._coerce(1)
-        for _ in range(exponent):
+        out = self if exponent else self._coerce(1)
+        for _ in range(exponent - 1):
             out = out * self
         return out
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .chern import ChernVector, GrassRing, _sym_chern_polys, segre, sym_power, tensor_line
@@ -33,6 +32,7 @@ from .recipes import (
 from .schubert import (
     GrassCtx,
     SchubertCycle,
+    _Record,
     dual_partition,
     integrate,
     multiply,
@@ -48,12 +48,8 @@ SUITE_NAMES = ("classical", "properties", "all")
 _EXHAUSTIVE_DIM = 12
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    expected: str
-    actual: str
-    passed: bool
+class CheckResult(_Record):
+    _fields = ("name", "expected", "actual", "passed")
 
 
 def _check(name: str, expected, actual) -> CheckResult:

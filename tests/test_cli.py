@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -69,6 +71,14 @@ def test_grass_non_ascii_digit_is_a_syntax_error(capsys):
     assert code == 1
     assert out == ""
     assert err.strip() == "syntax error at line 1, column 7: unexpected character '²'"
+
+
+def test_grass_overlong_integer_is_a_syntax_error(capsys):
+    # int() refuses more than 4300 digits; that is the query's fault, not ours
+    code, out, err = run_cli(capsys, "grass", "sigma[" + "1" * 5000 + "] in G(2,4)")
+    assert code == 1
+    assert out == ""
+    assert err.strip() == "syntax error at line 1, column 7: integer literal too long"
 
 
 def test_grass_semantic_error_exits_one(capsys):
@@ -333,6 +343,35 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "2"
+
+
+def test_closed_output_pipe_exits_one_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "curvecount", "count", "lines", "--ambient", "4", "--degrees", "5"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
+
+
+def test_import_loads_no_dataclasses_inspect_or_resources():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, curvecount; "
+            "print(sorted(m for m in ('dataclasses', 'inspect', 'importlib.resources') if m in sys.modules))")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_script_subprocess():
