@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .schubert import SchubertCycle, _Record, chern_tautological, schubert_class
+from .schubert import SchubertCycle, _is_int, _Record, chern_tautological, schubert_class
 from .schubert import integrate as _grass_integrate
 
 
@@ -169,8 +169,8 @@ class ChernVector(_Record):
     _fields = ("ring", "rank", "classes")
 
     def __new__(cls, ring, rank: int, classes: tuple):
-        if rank < 0:
-            raise ValueError("rank must be nonnegative")
+        if not _is_int(rank) or rank < 0:
+            raise ValueError(f"rank must be a nonnegative integer, got {rank!r}")
         depth = min(rank, ring.top_degree)
         if len(classes) != depth:
             raise ValueError(f"expected {depth} classes, got {len(classes)}")
@@ -236,7 +236,7 @@ def sym_power(e: ChernVector, m: int) -> ChernVector:
     are evaluated at the classes of e; each monomial of degree two or more is
     one ring product of a smaller monomial and one class.
     """
-    if not isinstance(m, int) or m < 0:
+    if not _is_int(m) or m < 0:
         raise ValueError(f"symmetric power must be a nonnegative integer, got {m}")
     ring = e.ring
     if e.rank == 0:

@@ -7,37 +7,52 @@ subject to the relation
 
     zeta^r + c_1(E) zeta^(r-1) + ... + c_r(E) = 0.
 
-An element stores flat terms, (j, partition) -> nonzero int for the
-coefficient of sigma_partition * zeta^j with j < r, on the element core it
-shares with SchubertCycle; its base-cycle coefficients b_0, ..., b_(r-1)
-(`coeffs`) are derived from those terms on each read.  Products work on the
-flat terms too: pb_multiply convolves the term pairs of both factors
-through the base Grassmannian's product table into one dict per power of
-zeta, rewrites the powers r..2r-2 through the relation inside those dicts,
-and builds a single result, with no base cycle in between.  Elements are
-kept in that canonical form eagerly, so the pushforward along the
-projection is simply the zeta^(r-1) part; the general rule
-pushforward(zeta^(r-1+j)) = s_j(E) then follows from the relation and is
-exercised by the test suite.
+The ring is a record over E alone and stores that relation once, as
+zeta^r in flat terms: (j, partition) -> nonzero int, the coefficient of
+sigma_partition * zeta^j with j < r.  Elements store flat terms the same
+way, on the element core they share with SchubertCycle, and derive their
+base-cycle coefficients b_0, ..., b_(r-1) (`coeffs`) on each read.
+pb_multiply convolves the term pairs of both factors through the base's
+product table into one dict per power of zeta, then convolves the powers
+r..2r-2, highest first, with the relation in the same loop.  Elements stay
+in that canonical form, so the pushforward along the projection is the
+zeta^(r-1) part; the rule pushforward(zeta^(r-1+j)) = s_j(E) follows from
+the relation and is exercised by the test suite.
 """
 
 from __future__ import annotations
 
 from .chern import ChernVector, GrassRing
-from .schubert import _EMPTY, SchubertCycle, _basis_order, _basis_product, _Element
+from .schubert import _EMPTY, SchubertCycle, _basis_order, _basis_product, _Element, _is_int, _Record
 
 
-class ProjBundleRing:
-    """Graded ring handle for P(E), E a bundle over a Grassmannian ring."""
+class ProjBundleRing(_Record):
+    """Graded ring handle for P(E), E a bundle over a Grassmannian ring.
 
-    def __init__(self, bundle: ChernVector):
+    _relation, not a field, is zeta^r as flat terms: -b at (r - i, mu) for
+    each term b * sigma_mu of c_i(E).
+    """
+
+    _fields = ("bundle",)
+
+    def __new__(cls, bundle: ChernVector):
         if not isinstance(bundle.ring, GrassRing):
             raise ValueError("the bundle must live over a Grassmannian ring")
         if bundle.rank < 1:
             raise ValueError("cannot projectivize a rank-0 bundle")
-        self.bundle = bundle
-        self.base = bundle.ring
-        self.fiber_rank = bundle.rank
+        self = tuple.__new__(cls, (bundle,))
+        # c_i(E) above the base's top degree are zero and not stored
+        relation = {(bundle.rank - i, mu): -b for i, c in enumerate(bundle.classes, 1) for mu, b in c._terms.items()}
+        object.__setattr__(self, "_relation", relation)
+        return self
+
+    @property
+    def base(self) -> GrassRing:
+        return self.bundle.ring
+
+    @property
+    def fiber_rank(self) -> int:
+        return self.bundle.rank
 
     @property
     def top_degree(self) -> int:
@@ -56,15 +71,15 @@ class ProjBundleRing:
         return PBElement._trusted(self, {(0, lam): c for lam, c in cycle._terms.items()})
 
     def zeta(self, power: int = 1) -> "PBElement":
-        """zeta^power in canonical form."""
-        if power < 0:
-            raise ValueError("zeta powers must be nonnegative")
-        if power < self.fiber_rank:
+        """zeta^power in canonical form: one term below the fiber rank r,
+        the relation at r, and zeta^r * zeta^(power - r) above."""
+        if not _is_int(power) or power < 0:
+            raise ValueError(f"zeta powers must be nonnegative integers, got {power!r}")
+        r = self.fiber_rank
+        if power < r:
             return PBElement._trusted(self, {(power, _EMPTY): 1})
-        if self.fiber_rank == 1:
-            # the relation collapses to zeta = -c1(E), a base class
-            return self.from_base((-self.bundle.c(1)) ** power)
-        return self.zeta(1) ** power
+        top = PBElement._trusted(self, dict(self._relation))
+        return top if power == r else top * self.zeta(power - r)
 
     def pullback(self, bundle: ChernVector) -> ChernVector:
         """Pullback of a Chern vector from the base.  Classes above the base's
@@ -78,11 +93,6 @@ class ProjBundleRing:
 
     def integrate(self, x: "PBElement") -> int:
         return pb_integrate(x)
-
-    def __eq__(self, other):
-        if not isinstance(other, ProjBundleRing):
-            return NotImplemented
-        return self.base == other.base and self.bundle.classes == other.bundle.classes
 
     def __str__(self):
         return f"P(E^{self.fiber_rank}) over {self.base.ctx}"
@@ -153,25 +163,12 @@ class PBElement(_Element):
         return f"<PBElement {self} on {self.ring}>"
 
 
-def pb_multiply(x: PBElement, y: PBElement) -> PBElement:
-    """Product in the Chow ring of P(E), computed on the flat terms.
-
-    Each pair of terms sigma_lam zeta^i of x and sigma_mu zeta^j of y adds
-    sigma_lam * sigma_mu, read from the base's product table, to the slot
-    of zeta^(i+j): one dict partition -> int per power 0..2r-2.  The slots
-    of powers r..2r-2 are then rewritten, highest power first, through the
-    relation zeta^r = -(c_1(E) zeta^(r-1) + ... + c_r(E)) against the
-    stored terms of the c_i(E), and the slots below r are the result.
-    """
-    ring = x._space
-    if y._space is not ring and y._space != ring:
-        raise ValueError("elements live on different projective bundles")
-    r = ring.fiber_rank
-    ctx = ring.base.ctx
+def _convolve(slots: list, ctx, xs, ys) -> None:
+    """Add a * b * sigma_lam * sigma_mu, read from the product table of ctx,
+    into slots[i + j] for each term ((i, lam), a) of xs and ((j, mu), b) of ys."""
     table = ctx._table
-    slots = [{} for _ in range(2 * r - 1)]
-    for (i, lam), a in x._terms.items():
-        for (j, mu), b in y._terms.items():
+    for (i, lam), a in xs:
+        for (j, mu), b in ys:
             key = (lam, mu) if lam <= mu else (mu, lam)
             prod = table.get(key)
             if prod is None:
@@ -180,21 +177,23 @@ def pb_multiply(x: PBElement, y: PBElement) -> PBElement:
             ab = a * b
             for nu, c in prod:
                 slot[nu] = slot.get(nu, 0) + ab * c
+
+
+def pb_multiply(x: PBElement, y: PBElement) -> PBElement:
+    """Product in the Chow ring of P(E), computed on the flat terms: the term
+    pairs of x and y fill one slot per power of zeta, 0..2r-2; each slot of a
+    power r..2r-2, highest first, is then convolved with the relation zeta^r
+    into lower slots, and the slots below r are the result."""
+    ring = x._space
+    if y._space is not ring and y._space != ring:
+        raise ValueError("elements live on different projective bundles")
+    r = ring.fiber_rank
+    ctx = ring.base.ctx
+    slots = [{} for _ in range(2 * r - 1)]
+    _convolve(slots, ctx, x._terms.items(), y._terms.items())
     for power in range(2 * r - 2, r - 1, -1):
-        for lam, a in slots[power].items():
-            if not a:
-                continue
-            # c_i(E) above the base's top degree are zero and not stored
-            for i, ci in enumerate(ring.bundle.classes, 1):
-                slot = slots[power - i]
-                for mu, b in ci._terms.items():
-                    key = (lam, mu) if lam <= mu else (mu, lam)
-                    prod = table.get(key)
-                    if prod is None:
-                        prod = table[key] = _basis_product(ctx, *key)
-                    ab = a * b
-                    for nu, c in prod:
-                        slot[nu] = slot.get(nu, 0) - ab * c
+        high = [((power - r, lam), a) for lam, a in slots[power].items() if a]
+        _convolve(slots, ctx, high, ring._relation.items())
     return PBElement._trusted(ring, {(j, nu): c for j in range(r) for nu, c in slots[j].items() if c})
 
 

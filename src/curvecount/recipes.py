@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import dsl
-from .schubert import _Record
+from .schubert import _is_int, _Record
 
 
 class CountReport(_Record):
@@ -102,10 +102,6 @@ def _count(curve: str, ambient_dim: int, degrees: tuple) -> CountReport:
     # the DSL's evaluator without its size caps: a recipe takes any N
     count = dsl._eval_expr(query.expr, dsl._resolve_context(query.context))
     return CountReport(curve, ambient_dim, degrees, dim, rank, count, None, calabi_yau, dsl.render(query))
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _complete_intersection_degrees(ambient_dim, degrees) -> tuple:
@@ -317,7 +313,7 @@ def _parse_ledger(obj, origin: str) -> DegenerationLedger:
     name = obj["name"]
     total = obj["total"]
     raw = obj["components"]
-    if not isinstance(name, str) or not isinstance(total, int) or not isinstance(raw, list):
+    if not isinstance(name, str) or not _is_int(total) or not isinstance(raw, list):
         raise ValueError(f"{origin}: ledger needs a string name, integer total and component list")
     comps = []
     for i, c in enumerate(raw):
@@ -325,7 +321,7 @@ def _parse_ledger(obj, origin: str) -> DegenerationLedger:
         if not isinstance(c, dict) or "label" not in c or "equivalence" not in c:
             raise ValueError(f"{where} needs label and equivalence")
         count = c.get("count", 1)
-        if not isinstance(c["equivalence"], int) or not isinstance(count, int):
+        if not _is_int(c["equivalence"]) or not _is_int(count):
             raise ValueError(f"{where} must use integer equivalence and count")
         comps.append(LedgerComponent(str(c["label"]), c["equivalence"], count))
     return DegenerationLedger(name, total, tuple(comps))

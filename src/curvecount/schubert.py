@@ -32,6 +32,11 @@ import itertools
 from operator import itemgetter
 
 
+def _is_int(value) -> bool:
+    """Nothing rounds: an integer input must be an int, and not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class Partition(tuple):
     """Weakly decreasing tuple of nonnegative integers, trailing zeros trimmed.
 
@@ -43,7 +48,7 @@ class Partition(tuple):
     def __new__(cls, parts=()):
         parts = tuple(parts)
         for p in parts:
-            if not isinstance(p, int) or isinstance(p, bool):  # nothing rounds
+            if not isinstance(p, int) or isinstance(p, bool):  # _is_int, inlined on a hot path
                 raise ValueError(f"partition parts must be integers: {parts}")
         while parts and parts[-1] == 0:
             parts = parts[:-1]
@@ -134,7 +139,7 @@ class GrassCtx(_Record):
     _fields = ("k", "n")
 
     def __new__(cls, k: int, n: int):
-        if not (isinstance(k, int) and isinstance(n, int)):
+        if not (_is_int(k) and _is_int(n)):
             raise ValueError("k and n must be integers")
         if not 0 < k < n:
             raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
@@ -278,7 +283,7 @@ class _Element:
         # repeated multiplication by the base, starting from the base, not the
         # unit: squaring reaches basis products that repeated Pieri steps
         # never need, and measured slower
-        if not isinstance(exponent, int) or exponent < 0:
+        if not _is_int(exponent) or exponent < 0:
             raise ValueError("powers need a nonnegative integer exponent")
         out = self if exponent else self._coerce(1)
         for _ in range(exponent - 1):
@@ -331,7 +336,7 @@ class SchubertCycle(_Element):
             lam = Partition(lam)
             if not ctx.fits(lam):
                 raise ValueError(f"partition {tuple(lam)} does not fit the box of {ctx}")
-            if not isinstance(coeff, int) or isinstance(coeff, bool):
+            if not _is_int(coeff):
                 raise ValueError(f"coefficient of sigma{tuple(lam)} must be an integer, got {coeff!r}")
             if coeff:
                 clean[lam] = clean.get(lam, 0) + coeff
@@ -444,7 +449,7 @@ def pieri(lam, a: int, ctx: GrassCtx) -> SchubertCycle:
     lam = Partition(lam)
     if not ctx.fits(lam):
         raise ValueError(f"partition {tuple(lam)} does not fit the box of {ctx}")
-    if not isinstance(a, int) or not 0 <= a <= ctx.width:
+    if not _is_int(a) or not 0 <= a <= ctx.width:
         raise ValueError(f"special class index must lie in 0..{ctx.width}, got {a}")
     return SchubertCycle(ctx, {mu: 1 for mu in _horizontal_strips(lam, a, ctx)})
 
@@ -547,7 +552,7 @@ def chern_tautological(ctx: GrassCtx, which: str, i: int) -> SchubertCycle:
     ranks = {"sub": ctx.k, "sub_dual": ctx.k, "quotient": ctx.n - ctx.k}
     if which not in ranks:
         raise ValueError(f"which must be one of {sorted(ranks)}, got {which!r}")
-    if not isinstance(i, int) or not 0 <= i <= ranks[which]:
+    if not _is_int(i) or not 0 <= i <= ranks[which]:
         raise ValueError(f"index {i} out of range for rank {ranks[which]}")
     if i == 0:
         return SchubertCycle.unit(ctx)

@@ -102,6 +102,9 @@ def test_chern_vector_indexing():
     assert e.c(3) == R25.zero()
     with pytest.raises(ValueError):
         e.c(-1)
+    for rank in (2.0, True, -1):
+        with pytest.raises(ValueError):
+            ChernVector(R25, rank, e.classes)
 
 
 def test_trivial_bundle():
@@ -210,6 +213,9 @@ def test_sym_power_rank_zero_edge():
     z = ChernVector.trivial(R25, 0)
     assert sym_power(z, 0).rank == 1
     assert sym_power(z, 3).rank == 0
+    for m in (True, 2.0, -1):
+        with pytest.raises(ValueError):
+            sym_power(R25.tautological("sub_dual"), m)
 
 
 def test_segre_closed_forms():

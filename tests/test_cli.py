@@ -267,6 +267,18 @@ def test_ledger_check_failing_file(tmp_path, capsys):
     assert "residual 600" in out
 
 
+def test_ledger_check_rejects_booleans(tmp_path, capsys):
+    path = tmp_path / "booleans.json"
+    path.write_text(json.dumps({
+        "ledgers": [{"name": "truthy", "total": True,
+                     "components": [{"label": "a", "equivalence": True, "count": True}]}]
+    }))
+    code, out, err = run_cli(capsys, "ledger", "check", str(path))
+    assert code == 1
+    assert "PASS" not in out
+    assert "integer" in err
+
+
 def test_ledger_check_bad_file_exits_one(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{nope")

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -31,6 +33,81 @@ def test_requires_positive_rank():
         ProjBundleRing(ChernVector.trivial(base, 0))
 
 
+def test_requires_a_grassmannian_base():
+    pb = taut_ring(2, 4, "sub")
+    with pytest.raises(ValueError):
+        ProjBundleRing(pb.pullback(pb.base.tautological("sub")))
+
+
+def test_ring_is_a_record_over_its_bundle():
+    base = GrassRing(GrassCtx(2, 4))
+    five, six = ProjBundleRing(ChernVector.trivial(base, 5)), ProjBundleRing(ChernVector.trivial(base, 6))
+    assert five == ProjBundleRing(ChernVector.trivial(base, 5)) and not five != ProjBundleRing(ChernVector.trivial(base, 5))
+    # same base and the same (zero) classes, but different fiber ranks
+    assert five != six and not five == six
+    with pytest.raises(ValueError):
+        five.zeta(4) + six.zeta(5)
+    with pytest.raises(AttributeError):
+        five.bundle = six.bundle
+    assert (five.base, five.fiber_rank) == (base, 5)
+    with pytest.raises(TypeError):  # its classes are cycles, which are unhashable
+        hash(five)
+
+
+def test_ring_copies_keep_the_relation():
+    pb = conic_ring()
+    for twin in (copy.copy(pb), copy.deepcopy(pb), pickle.loads(pickle.dumps(pb))):
+        assert type(twin) is ProjBundleRing and twin == pb and not twin != pb
+        assert twin._relation == pb._relation
+        assert twin.zeta(8) == pb.zeta(8)
+
+
+def test_ring_repr():
+    pb = taut_ring(2, 4, "sub")
+    assert repr(pb) == ("ProjBundleRing(bundle=ChernVector(ring=GrassRing(ctx=GrassCtx(k=2, n=4)), rank=2, "
+                        "classes=(<SchubertCycle -sigma[1] on G(2,4)>, <SchubertCycle sigma[1,1] on G(2,4)>)))")
+    assert repr(pb.zeta(1)) == "<PBElement zeta on P(E^2) over G(2,4)>"
+
+
+def test_relation_is_zeta_to_the_rank():
+    # c(S) = 1 - sigma_1 + sigma_11 on G(2,4): zeta^2 = sigma_1 zeta - sigma_11
+    pb = taut_ring(2, 4, "sub")
+    assert pb._relation == {(1, Partition((1,))): 1, (0, Partition((1, 1))): -1}
+    assert pb.zeta(2) == pb.from_base(pb.base.schubert((1,))) * pb.zeta(1) - pb.base.schubert((1, 1))
+    # Sym^4 S* has rank 5 over G(2,4), of top degree 4: c_5 is not stored,
+    # so the relation has no zeta^0 term
+    base = GrassRing(GrassCtx(2, 4))
+    high = ProjBundleRing(sym_power(base.tautological("sub_dual"), 4))
+    assert len(high.bundle.classes) == 4
+    assert {j for j, _ in high._relation} == {1, 2, 3, 4}
+
+
+def test_zeta_at_the_rank_builds_no_product(monkeypatch):
+    import curvecount.projbundle as projbundle
+
+    calls = []
+    inner = projbundle.pb_multiply
+
+    def counting(a, b):
+        calls.append(1)
+        return inner(a, b)
+
+    monkeypatch.setattr(projbundle, "pb_multiply", counting)
+    for pb in (taut_ring(2, 4, "sub"), conic_ring(), rank_one_ring()):
+        for j in range(pb.fiber_rank + 1):
+            pb.zeta(j)
+    assert calls == []
+    conic_ring().zeta(13)  # zeta^6 * zeta^7, zeta^7 = zeta^6 * zeta
+    assert len(calls) == 2
+
+
+def test_zeta_powers_must_be_integers():
+    pb = taut_ring(2, 4, "sub")
+    for power in (1.5, 1.0, True, -1):
+        with pytest.raises(ValueError):
+            pb.zeta(power)
+
+
 def test_zeta_powers_stay_canonical():
     pb = conic_ring()
     r = pb.fiber_rank
@@ -48,6 +125,12 @@ def test_hyperplane_relation():
         r = pb.fiber_rank
         acc = pb.zero()
         for i in range(r + 1):
+            acc = acc + bundle.c(i) * pb.zeta(r - i)
+        assert acc == pb.zero()
+        # zeta(r) is the stored relation, so the relation above holds by
+        # construction; with zeta^r as a product it runs the reduction
+        acc = pb.zeta(r - 1) * pb.zeta(1)
+        for i in range(1, r + 1):
             acc = acc + bundle.c(i) * pb.zeta(r - i)
         assert acc == pb.zero()
 

@@ -360,6 +360,13 @@ def test_ledger_file_validation(tmp_path):
     bad.write_text(json.dumps({"nothing": []}))
     with pytest.raises(ValueError, match="ledgers"):
         load_ledger_file(bad)
+    # JSON true is a bool, not the integer 1
+    for total, component in ((True, {"label": "y", "equivalence": 1}),
+                             (1, {"label": "y", "equivalence": True}),
+                             (1, {"label": "y", "equivalence": 1, "count": True})):
+        bad.write_text(json.dumps({"ledgers": [{"name": "x", "total": total, "components": [component]}]}))
+        with pytest.raises(ValueError, match="integer"):
+            load_ledger_file(bad)
 
 
 def test_reference_counts_are_recorded_not_computed():

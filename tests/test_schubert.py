@@ -76,6 +76,9 @@ def test_ctx_validation():
         GrassCtx(4, 4)
     with pytest.raises(ValueError):
         GrassCtx(5, 3)
+    for k, n in ((True, 3), (2, 4.0), (2.0, 4), (1, "3")):
+        with pytest.raises(ValueError):
+            GrassCtx(k, n)
 
 
 def test_box_partition_count_is_binomial():
@@ -124,6 +127,22 @@ def test_pieri_validation():
         pieri((1,), 4, G25)
     with pytest.raises(ValueError):
         pieri((1,), -1, G25)
+    for a in (True, 1.0, 1.5):
+        with pytest.raises(ValueError):
+            pieri((1,), a, G25)
+
+
+def test_pieri_check_catches_a_missing_strip(monkeypatch):
+    import curvecount.schubert as schubert
+    from curvecount.suites import _pieri_check
+
+    contexts = [GrassCtx(2, 4), GrassCtx(2, 5)]
+    assert _pieri_check(contexts).passed
+    inner = schubert._horizontal_strips
+    monkeypatch.setattr(schubert, "_horizontal_strips", lambda lam, a, ctx: inner(lam, a, ctx)[:-1])
+    result = _pieri_check(contexts)
+    assert result.name == "pieri-multiplicity-free"
+    assert not result.passed
 
 
 def test_power_tower_in_g24():
@@ -132,6 +151,9 @@ def test_power_tower_in_g24():
     assert s1**3 == 2 * schubert_class(G24, (2, 1))
     assert s1**4 == 2 * schubert_class(G24, (2, 2))
     assert integrate(s1**4) == 2
+    for exponent in (True, 2.0, -1):
+        with pytest.raises(ValueError):
+            s1**exponent
 
 
 def test_degree_of_grassmannian_matches_factorial_formula():
@@ -206,6 +228,9 @@ def test_tautological_chern_classes():
         chern_tautological(G25, "sub", 3)
     with pytest.raises(ValueError):
         chern_tautological(G25, "mystery", 1)
+    for i in (True, 1.0):
+        with pytest.raises(ValueError):
+            chern_tautological(G25, "sub", i)
 
 
 def test_whitney_sum_of_tautologicals_is_trivial():
