@@ -1,5 +1,10 @@
 """Exact curve counts on threefolds via Schubert calculus and Chern class
-integrals over Grassmannians and projective bundles."""
+integrals over Grassmannians and projective bundles.
+
+The engine modules load with the package.  The check suites load on first
+access to one of their names (SUITE_NAMES, CheckResult, run_suite), so a
+process that never runs a check never compiles them.
+"""
 
 from .chern import (
     ChernVector,
@@ -46,7 +51,6 @@ from .schubert import (
     pieri,
     schubert_class,
 )
-from .suites import SUITE_NAMES, CheckResult, run_suite
 
 __version__ = "0.1.0"
 
@@ -106,3 +110,19 @@ __all__ = [
     "whitney_quotient",
     "__version__",
 ]
+
+_SUITE_EXPORTS = ("SUITE_NAMES", "CheckResult", "run_suite")
+
+
+def __getattr__(name):
+    if name in _SUITE_EXPORTS:
+        from . import suites
+
+        value = getattr(suites, name)
+        globals()[name] = value  # later lookups skip this hook
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_SUITE_EXPORTS))

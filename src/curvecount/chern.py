@@ -182,6 +182,8 @@ class ChernVector(_Record):
 
     def c(self, i: int):
         """c_i, with c_0 = 1 and c_i = 0 above the rank or the top degree."""
+        if not _is_int(i):
+            raise ValueError(f"Chern indices must be integers, got {i!r}")
         if i == 0:
             return self.ring.one()
         if 1 <= i <= len(self.classes):

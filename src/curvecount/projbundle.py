@@ -8,14 +8,15 @@ subject to the relation
     zeta^r + c_1(E) zeta^(r-1) + ... + c_r(E) = 0.
 
 The ring is a record over E alone and stores that relation once, as
-zeta^r in flat terms: (j, partition) -> nonzero int, the coefficient of
-sigma_partition * zeta^j with j < r.  Elements store flat terms the same
-way, on the element core they share with SchubertCycle, and derive their
-base-cycle coefficients b_0, ..., b_(r-1) (`coeffs`) on each read.
-pb_multiply convolves the term pairs of both factors through the base's
-product table into one dict per power of zeta, then convolves the powers
-r..2r-2, highest first, with the relation in the same loop.  Elements stay
-in that canonical form, so the pushforward along the projection is the
+zeta^r grouped by power of zeta: for each j < r with a nonzero part, the
+pairs (partition, coefficient) of sigma_partition * zeta^j.  Elements store
+flat terms, (j, partition) -> nonzero int, on the element core they share
+with SchubertCycle, and derive their base-cycle coefficients b_0, ...,
+b_(r-1) (`coeffs`) on each read.  pb_multiply convolves the term pairs of
+both factors through the base's product table into one dict per power of
+zeta, then rewrites the powers r..2r-2, highest first, through the
+relation, one group of its terms per target power.  Elements stay in that
+canonical form, so the pushforward along the projection is the
 zeta^(r-1) part; the rule pushforward(zeta^(r-1+j)) = s_j(E) follows from
 the relation and is exercised by the test suite.
 """
@@ -29,8 +30,9 @@ from .schubert import _EMPTY, SchubertCycle, _basis_order, _basis_product, _Elem
 class ProjBundleRing(_Record):
     """Graded ring handle for P(E), E a bundle over a Grassmannian ring.
 
-    _relation, not a field, is zeta^r as flat terms: -b at (r - i, mu) for
-    each term b * sigma_mu of c_i(E).
+    _relation, not a field, is zeta^r grouped by power of zeta: the group
+    (r - i, ((mu, -b), ...)) holds the terms b * sigma_mu of each nonzero
+    c_i(E).
     """
 
     _fields = ("bundle",)
@@ -42,7 +44,8 @@ class ProjBundleRing(_Record):
             raise ValueError("cannot projectivize a rank-0 bundle")
         self = tuple.__new__(cls, (bundle,))
         # c_i(E) above the base's top degree are zero and not stored
-        relation = {(bundle.rank - i, mu): -b for i, c in enumerate(bundle.classes, 1) for mu, b in c._terms.items()}
+        relation = tuple((bundle.rank - i, tuple((mu, -b) for mu, b in c._terms.items()))
+                         for i, c in enumerate(bundle.classes, 1) if c._terms)
         object.__setattr__(self, "_relation", relation)
         return self
 
@@ -78,7 +81,7 @@ class ProjBundleRing(_Record):
         r = self.fiber_rank
         if power < r:
             return PBElement._trusted(self, {(power, _EMPTY): 1})
-        top = PBElement._trusted(self, dict(self._relation))
+        top = PBElement._trusted(self, {(j, mu): b for j, group in self._relation for mu, b in group})
         return top if power == r else top * self.zeta(power - r)
 
     def pullback(self, bundle: ChernVector) -> ChernVector:
@@ -163,12 +166,25 @@ class PBElement(_Element):
         return f"<PBElement {self} on {self.ring}>"
 
 
-def _convolve(slots: list, ctx, xs, ys) -> None:
-    """Add a * b * sigma_lam * sigma_mu, read from the product table of ctx,
-    into slots[i + j] for each term ((i, lam), a) of xs and ((j, mu), b) of ys."""
+def pb_multiply(x: PBElement, y: PBElement) -> PBElement:
+    """Product in the Chow ring of P(E), computed on the flat terms.
+
+    Each pair of terms sigma_lam zeta^i of x and sigma_mu zeta^j of y adds
+    a * b * sigma_lam * sigma_mu, read from the base's product table, to the
+    slot of zeta^(i+j): one dict partition -> int per power 0..2r-2.  Each
+    term of a power r..2r-2, highest power first, is then rewritten through
+    the relation, one slot per group of its terms, and the slots below r are
+    the result.
+    """
+    ring = x._space
+    if y._space is not ring and y._space != ring:
+        raise ValueError("elements live on different projective bundles")
+    r = ring.fiber_rank
+    ctx = ring.base.ctx
     table = ctx._table
-    for (i, lam), a in xs:
-        for (j, mu), b in ys:
+    slots = [{} for _ in range(2 * r - 1)]
+    for (i, lam), a in x._terms.items():
+        for (j, mu), b in y._terms.items():
             key = (lam, mu) if lam <= mu else (mu, lam)
             prod = table.get(key)
             if prod is None:
@@ -177,23 +193,20 @@ def _convolve(slots: list, ctx, xs, ys) -> None:
             ab = a * b
             for nu, c in prod:
                 slot[nu] = slot.get(nu, 0) + ab * c
-
-
-def pb_multiply(x: PBElement, y: PBElement) -> PBElement:
-    """Product in the Chow ring of P(E), computed on the flat terms: the term
-    pairs of x and y fill one slot per power of zeta, 0..2r-2; each slot of a
-    power r..2r-2, highest first, is then convolved with the relation zeta^r
-    into lower slots, and the slots below r are the result."""
-    ring = x._space
-    if y._space is not ring and y._space != ring:
-        raise ValueError("elements live on different projective bundles")
-    r = ring.fiber_rank
-    ctx = ring.base.ctx
-    slots = [{} for _ in range(2 * r - 1)]
-    _convolve(slots, ctx, x._terms.items(), y._terms.items())
     for power in range(2 * r - 2, r - 1, -1):
-        high = [((power - r, lam), a) for lam, a in slots[power].items() if a]
-        _convolve(slots, ctx, high, ring._relation.items())
+        for lam, a in slots[power].items():
+            if not a:
+                continue
+            for j, group in ring._relation:
+                slot = slots[power - r + j]
+                for mu, b in group:
+                    key = (lam, mu) if lam <= mu else (mu, lam)
+                    prod = table.get(key)
+                    if prod is None:
+                        prod = table[key] = _basis_product(ctx, *key)
+                    ab = a * b
+                    for nu, c in prod:
+                        slot[nu] = slot.get(nu, 0) + ab * c
     return PBElement._trusted(ring, {(j, nu): c for j in range(r) for nu, c in slots[j].items() if c})
 
 

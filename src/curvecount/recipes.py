@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import os
-from fractions import Fraction
 from functools import lru_cache
 
 from . import dsl
@@ -258,6 +257,8 @@ def equivalence_unobstructed(family_dim: int, chern_integrals=None) -> int:
 def multiple_cover_weight(cover_degree: int) -> Fraction:
     """Weight of degree-m multiple covers of a rigid rational curve: each
     cover contributes 1/m^3, exactly."""
+    from fractions import Fraction  # here, not at import: fractions loads decimal, which nothing else needs
+
     if not _is_int(cover_degree) or cover_degree < 1:
         raise ValueError(f"cover degree must be a positive integer, got {cover_degree!r}")
     return Fraction(1, cover_degree**3)

@@ -219,7 +219,7 @@ class _Element:
             if other._space is not self._space and other._space != self._space:
                 raise ValueError(self._MISMATCH)
             return other
-        if isinstance(other, int):
+        if isinstance(other, int) and other.__class__ is not bool:  # _is_int, inlined on a hot path
             return self._trusted(self._space, {self._UNIT: other} if other else {})
         return None
 
@@ -270,7 +270,7 @@ class _Element:
         return self._trusted(self._space, {key: -c for key, c in self._terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if isinstance(other, int) and other.__class__ is not bool:  # a bool falls through to _coerce, which refuses it
             return self._trusted(self._space, {key: other * c for key, c in self._terms.items()} if other else {})
         other = self._coerce(other)
         if other is None:

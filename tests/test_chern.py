@@ -100,8 +100,9 @@ def test_chern_vector_indexing():
     assert e.c(1) == R25.schubert((1,))
     assert e.c(2) == R25.schubert((1, 1))
     assert e.c(3) == R25.zero()
-    with pytest.raises(ValueError):
-        e.c(-1)
+    for index in (-1, True, False, 1.0):
+        with pytest.raises(ValueError):
+            e.c(index)
     for rank in (2.0, True, -1):
         with pytest.raises(ValueError):
             ChernVector(R25, rank, e.classes)

@@ -314,10 +314,16 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     assert "invalid choice" in err
 
 
-def test_verify_failure_exits_one(monkeypatch, capsys):
-    from curvecount.suites import CheckResult
+def test_verify_suite_choices_match_the_suites():
+    from curvecount import suites
 
-    monkeypatch.setattr(cli, "run_suite", lambda name, seed=0: [CheckResult("x", "1", "2", False)])
+    assert cli.SUITE_NAMES == suites.SUITE_NAMES
+
+
+def test_verify_failure_exits_one(monkeypatch, capsys):
+    from curvecount import suites
+
+    monkeypatch.setattr(suites, "run_suite", lambda name, seed=0: [suites.CheckResult("x", "1", "2", False)])
     code, out, _ = run_cli(capsys, "verify", "--suite", "classical")
     assert code == 1
     assert "FAIL x" in out
@@ -327,7 +333,7 @@ def test_internal_error_exits_two(monkeypatch, capsys):
     def boom(name, seed=0):
         raise RuntimeError("wires crossed")
 
-    monkeypatch.setattr(cli, "run_suite", boom)
+    monkeypatch.setattr("curvecount.suites.run_suite", boom)
     code, _, err = run_cli(capsys, "verify", "--suite", "classical")
     assert code == 2
     assert "internal error" in err
@@ -372,18 +378,61 @@ def test_closed_output_pipe_exits_one_quietly():
     assert proc.stderr == b""
 
 
-def test_import_loads_no_dataclasses_inspect_or_resources():
+def _run_bare(*args):
+    """Run python -S (no site packages) on the source tree; return the process."""
     src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys, curvecount; "
-            "print(sorted(m for m in ('dataclasses', 'inspect', 'importlib.resources') if m in sys.modules))")
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", code],
+        [sys.executable, "-S", *args],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc
+
+
+def _imported(*args):
+    """Names of the modules a python -S process imports, read from -X importtime."""
+    proc = _run_bare("-X", "importtime", *args)
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+
+
+def test_import_loads_no_dataclasses_inspect_or_resources():
+    assert not _imported("-c", "import curvecount") & {"dataclasses", "inspect", "importlib.resources"}
+
+
+def test_import_and_count_load_no_suites_or_fractions():
+    lazy = {"curvecount.suites", "fractions", "decimal"}
+    loaded = _imported("-c", "import curvecount")
+    assert "curvecount.recipes" in loaded and not loaded & lazy
+    loaded = _imported("-m", "curvecount", "count", "lines", "--ambient", "4", "--degrees", "5", "--json")
+    assert "curvecount.cli" in loaded and not loaded & lazy
+    assert "curvecount.suites" in _imported("-m", "curvecount", "verify", "--suite", "classical")
+
+
+_SUITE_NAMES_ON_FIRST_ACCESS = """
+import sys, curvecount
+listed = [n for n in curvecount.__all__ if n not in dir(curvecount)]
+print("curvecount.suites" in sys.modules, listed)
+print(curvecount.run_suite is sys.modules["curvecount.suites"].run_suite,
+      curvecount.CheckResult is sys.modules["curvecount.suites"].CheckResult, curvecount.SUITE_NAMES)
+names = {}
+exec("from curvecount import *", names)
+print([n for n in curvecount.__all__ if n not in names])
+try:
+    curvecount.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
+
+
+def test_suite_names_resolve_on_first_access():
+    assert _run_bare("-c", _SUITE_NAMES_ON_FIRST_ACCESS).stdout.splitlines() == [
+        "False []",
+        "True True ('classical', 'properties', 'all')",
+        "[]",
+        "module 'curvecount' has no attribute 'no_such_name'",
+    ]
 
 
 def test_console_script_subprocess():

@@ -72,7 +72,7 @@ def test_ring_repr():
 def test_relation_is_zeta_to_the_rank():
     # c(S) = 1 - sigma_1 + sigma_11 on G(2,4): zeta^2 = sigma_1 zeta - sigma_11
     pb = taut_ring(2, 4, "sub")
-    assert pb._relation == {(1, Partition((1,))): 1, (0, Partition((1, 1))): -1}
+    assert pb._relation == ((1, ((Partition((1,)), 1),)), (0, ((Partition((1, 1)), -1),)))
     assert pb.zeta(2) == pb.from_base(pb.base.schubert((1,))) * pb.zeta(1) - pb.base.schubert((1, 1))
     # Sym^4 S* has rank 5 over G(2,4), of top degree 4: c_5 is not stored,
     # so the relation has no zeta^0 term
@@ -214,6 +214,10 @@ def test_coercion_with_base_and_integers():
     assert elt == pb.from_base(s1) + pb.zeta(1)
     assert (1 + pb.zeta(1)) - 1 == pb.zeta(1)
     assert s1 * pb.zeta(1) == pb.from_base(s1) * pb.zeta(1)
+    # a bool is not an integer here
+    for op in (lambda: pb.zeta(1) + True, lambda: True * pb.zeta(1), lambda: pb.zeta(1) * False):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_component_and_codimensions():

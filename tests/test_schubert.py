@@ -197,6 +197,17 @@ def test_integer_coercion_in_arithmetic():
     assert (2 - s1) + (s1 - 2) == SchubertCycle.zero(G24)
 
 
+def test_bools_are_not_scalars():
+    s1 = schubert_class(G24, (1,))
+    one = schubert_class(G24, ())
+    for flag in (True, False):
+        for op in (lambda: s1 + flag, lambda: flag + s1, lambda: s1 - flag, lambda: flag - s1,
+                   lambda: s1 * flag, lambda: flag * s1):
+            with pytest.raises(TypeError):
+                op()
+    assert one != True and s1 * 1 == 1 * s1 == s1  # noqa: E712
+
+
 def test_component_and_homogeneity():
     s1 = schubert_class(G25, (1,))
     mix = 1 + s1 + s1 * s1
