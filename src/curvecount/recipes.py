@@ -321,10 +321,12 @@ def _parse_ledger(obj, origin: str) -> DegenerationLedger:
         where = f"{origin}: component {i}"
         if not isinstance(c, dict) or "label" not in c or "equivalence" not in c:
             raise ValueError(f"{where} needs label and equivalence")
+        if not isinstance(c["label"], str):
+            raise ValueError(f"{where} label must be a string")
         count = c.get("count", 1)
         if not _is_int(c["equivalence"]) or not _is_int(count):
             raise ValueError(f"{where} must use integer equivalence and count")
-        comps.append(LedgerComponent(str(c["label"]), c["equivalence"], count))
+        comps.append(LedgerComponent(c["label"], c["equivalence"], count))
     return DegenerationLedger(name, total, tuple(comps))
 
 

@@ -7,9 +7,13 @@ codimension |lambda|, the class of a point is the full box, and the ring is
 graded with top degree k(n-k).
 
 Products are computed with arbitrary-precision integers by expanding one
-factor through the Giambelli determinant into special classes and applying
-the Pieri rule repeatedly.  An independent Littlewood-Richardson tableau
-rule is provided purely as a cross-check of that pipeline.
+factor through the column (dual) Giambelli determinant into the column
+classes sigma_(1^i) and adding vertical strips for each, the dual Pieri
+rule.  The row form of the determinant runs as the column form on the
+transposed (n-k) x k box, the box of the dual Grassmannian G(n-k, n),
+which maps sigma_lambda to sigma_lambda' and horizontal strips to vertical
+ones; so does pieri.  An independent Littlewood-Richardson tableau rule is
+provided purely as a cross-check of that pipeline.
 
 Validation happens at the public constructors: Partition, SchubertCycle,
 schubert_class, pieri and dual_partition check their input, while the
@@ -65,9 +69,17 @@ class Partition(tuple):
 
     def conjugate(self) -> "Partition":
         """Transpose of the Young diagram."""
-        if not self:
-            return Partition()
-        return Partition(sum(1 for p in self if p > j) for j in range(self[0]))
+        # sweeping up from the last row: the columns that row `rows` has and
+        # row rows + 1 lacks hold exactly `rows` boxes.  The result is a
+        # partition by construction, so it skips the re-check; products
+        # conjugate every term they compute on the transposed box.
+        parts = []
+        below = 0
+        for rows in range(len(self), 0, -1):
+            p = self[rows - 1]
+            parts += [rows] * (p - below)
+            below = p
+        return tuple.__new__(Partition, parts)
 
     def contains(self, other) -> bool:
         """Diagram containment, row by row."""
@@ -395,47 +407,25 @@ def dual_partition(lam, ctx: GrassCtx) -> Partition:
     return Partition(ctx.width - padded[ctx.k - 1 - i] for i in range(ctx.k))
 
 
-def _horizontal_strips(lam: Partition, a: int, ctx: GrassCtx) -> list[Partition]:
-    # mu_1 <= width and mu_i in [lam_i, lam_{i-1}], |mu| = |lam| + a
-    k = ctx.k
-    padded = list(lam) + [0] * (k - len(lam))
-    out = []
-
-    def rec(i, remaining, acc):
-        if i == k:
-            if remaining == 0:
-                out.append(Partition(acc))
-            return
-        lo = padded[i]
-        hi = ctx.width if i == 0 else padded[i - 1]
-        hi = min(hi, lo + remaining)
-        for m in range(lo, hi + 1):
-            rec(i + 1, remaining - (m - lo), acc + [m])
-
-    rec(0, a, [])
-    return out
-
-
-def _vertical_strips(lam: Partition, a: int, ctx: GrassCtx) -> list[Partition]:
-    # mu_i in {lam_i, lam_i + 1}, mu weakly decreasing inside the box
-    k = ctx.k
-    padded = list(lam) + [0] * (k - len(lam))
+def _vertical_strips(lam: Partition, a: int, rows: int, width: int) -> list[Partition]:
+    # mu_i in {lam_i, lam_i + 1}, mu weakly decreasing inside the rows x width box
+    padded = list(lam) + [0] * (rows - len(lam))
     out = []
 
     def rec(i, remaining, prev, acc):
-        if remaining > k - i:
+        if remaining > rows - i:
             return
-        if i == k:
+        if i == rows:
             if remaining == 0:
                 out.append(Partition(acc))
             return
         for add in (0, 1):
             m = padded[i] + add
-            if add > remaining or m > prev or (i == 0 and m > ctx.width):
+            if add > remaining or m > prev or (i == 0 and m > width):
                 continue
             rec(i + 1, remaining - add, m, acc + [m])
 
-    rec(0, a, ctx.width, [])
+    rec(0, a, width, [])
     return out
 
 
@@ -451,14 +441,14 @@ def pieri(lam, a: int, ctx: GrassCtx) -> SchubertCycle:
         raise ValueError(f"partition {tuple(lam)} does not fit the box of {ctx}")
     if not _is_int(a) or not 0 <= a <= ctx.width:
         raise ValueError(f"special class index must lie in 0..{ctx.width}, got {a}")
-    return SchubertCycle(ctx, {mu: 1 for mu in _horizontal_strips(lam, a, ctx)})
+    # a horizontal strip on lam is a vertical strip on lam' in the transposed box
+    return SchubertCycle(ctx, {mu.conjugate(): 1 for mu in _vertical_strips(lam.conjugate(), a, ctx.width, ctx.k)})
 
 
-def _apply_strips(terms: dict, a: int, ctx: GrassCtx, vertical: bool) -> dict:
-    strips = _vertical_strips if vertical else _horizontal_strips
+def _apply_strips(terms: dict, a: int, rows: int, width: int) -> dict:
     out = {}
     for lam, coeff in terms.items():
-        for mu in strips(lam, a, ctx):
+        for mu in _vertical_strips(lam, a, rows, width):
             out[mu] = out.get(mu, 0) + coeff
     return {lam: c for lam, c in out.items() if c}
 
@@ -480,26 +470,30 @@ def _basis_product(ctx: GrassCtx, lam: Partition, mu: Partition):
     if not mu:
         return ((lam, 1),)
 
-    # Giambelli determinant size: number of rows for the row form, number of
-    # columns for the conjugate form.  Expand whichever factor admits the
-    # smallest determinant; tall narrow partitions go through the conjugate.
+    # Giambelli determinant size: number of columns for the column form,
+    # number of rows for the row form.  Expand whichever factor admits the
+    # smallest determinant, the column form on a tie.  The row form of a
+    # factor is its conjugate's column form on the transposed (n-k) x k box,
+    # so every expansion adds vertical strips: there onto goes in conjugated
+    # and each result comes out conjugated.
     candidates = [
-        (len(lam), False, lam, mu),
-        (lam[0], True, lam, mu),
-        (len(mu), False, mu, lam),
-        (mu[0], True, mu, lam),
+        (lam[0], False, lam, mu),
+        (len(lam), True, lam, mu),
+        (mu[0], False, mu, lam),
+        (len(mu), True, mu, lam),
     ]
-    size, vertical, expand, onto = min(candidates, key=lambda t: t[0])
-
-    shape = expand.conjugate() if vertical else expand
-    limit = ctx.k if vertical else ctx.width
+    size, transposed, expand, onto = min(candidates, key=itemgetter(0, 1))
+    if transposed:
+        shape, rows, width, onto = expand, ctx.width, ctx.k, onto.conjugate()
+    else:
+        shape, rows, width = expand.conjugate(), ctx.k, ctx.width
     acc = {}
     for perm in itertools.permutations(range(size)):
         factors = []
         dead = False
         for i in range(size):
             e = (shape[i] if i < len(shape) else 0) + perm[i] - i
-            if e < 0 or e > limit:
+            if e < 0 or e > rows:
                 dead = True
                 break
             if e:
@@ -509,11 +503,13 @@ def _basis_product(ctx: GrassCtx, lam: Partition, mu: Partition):
         sign = _permutation_sign(perm)
         terms = {onto: sign}
         for a in factors:
-            terms = _apply_strips(terms, a, ctx, vertical)
+            terms = _apply_strips(terms, a, rows, width)
             if not terms:
                 break
         for nu, c in terms.items():
             acc[nu] = acc.get(nu, 0) + c
+    if transposed:
+        acc = {nu.conjugate(): c for nu, c in acc.items()}
     return tuple(sorted(((nu, c) for nu, c in acc.items() if c), key=lambda kv: _basis_order(kv[0])))
 
 

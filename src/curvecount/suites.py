@@ -12,6 +12,7 @@ anywhere in the tower shows up as a named failing check.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -260,19 +261,12 @@ def _sym_oracle_check(rng) -> CheckResult:
                 direct = [1]
                 for s in sym_roots:
                     direct = [direct[0]] + [direct[i] + s * direct[i - 1] for i in range(1, len(direct))] + [s * direct[-1]]
-                evalues = [sum(_prod(c) for c in itertools.combinations(roots, i)) for i in range(1, r + 1)]
+                evalues = [sum(math.prod(c) for c in itertools.combinations(roots, i)) for i in range(1, r + 1)]
                 polys = _sym_chern_polys(r, m, len(sym_roots))
-                symbolic = [sum(c * _prod(v**e for v, e in zip(evalues, expo)) for expo, c in p.items()) for p in polys]
+                symbolic = [sum(c * math.prod(v**e for v, e in zip(evalues, expo)) for expo, c in p.items()) for p in polys]
                 if symbolic != direct[1:]:
                     failures.append(f"r={r} m={m} roots={roots}")
     return _bulk("symmetric-power-numeric-oracle", cases, failures)
-
-
-def _prod(values) -> int:
-    out = 1
-    for v in values:
-        out *= v
-    return out
 
 
 def _segre_check() -> CheckResult:

@@ -360,12 +360,13 @@ def test_ledger_file_validation(tmp_path):
     bad.write_text(json.dumps({"nothing": []}))
     with pytest.raises(ValueError, match="ledgers"):
         load_ledger_file(bad)
-    # JSON true is a bool, not the integer 1
-    for total, component in ((True, {"label": "y", "equivalence": 1}),
-                             (1, {"label": "y", "equivalence": True}),
-                             (1, {"label": "y", "equivalence": 1, "count": True})):
+    # JSON true is a bool, not the integer 1; a label is not coerced to a string
+    for total, component, word in ((True, {"label": "y", "equivalence": 1}, "integer"),
+                                   (1, {"label": "y", "equivalence": True}, "integer"),
+                                   (1, {"label": "y", "equivalence": 1, "count": True}, "integer"),
+                                   (1, {"label": {"a": 1}, "equivalence": 5}, "label")):
         bad.write_text(json.dumps({"ledgers": [{"name": "x", "total": total, "components": [component]}]}))
-        with pytest.raises(ValueError, match="integer"):
+        with pytest.raises(ValueError, match=word):
             load_ledger_file(bad)
 
 

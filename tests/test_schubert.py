@@ -52,6 +52,9 @@ def test_partition_rejects_bad_input():
 def test_conjugate_is_involution(lam):
     assert lam.conjugate().conjugate() == lam
     assert lam.conjugate().weight == lam.weight
+    # column j of the diagram has one box for each row longer than j
+    columns = [sum(1 for p in lam if p > j) for j in range(lam[0] if lam else 0)]
+    assert type(lam.conjugate()) is Partition and tuple(lam.conjugate()) == tuple(columns)
 
 
 @given(partitions, partitions)
@@ -138,8 +141,8 @@ def test_pieri_check_catches_a_missing_strip(monkeypatch):
 
     contexts = [GrassCtx(2, 4), GrassCtx(2, 5)]
     assert _pieri_check(contexts).passed
-    inner = schubert._horizontal_strips
-    monkeypatch.setattr(schubert, "_horizontal_strips", lambda lam, a, ctx: inner(lam, a, ctx)[:-1])
+    inner = schubert._vertical_strips
+    monkeypatch.setattr(schubert, "_vertical_strips", lambda lam, a, rows, width: inner(lam, a, rows, width)[:-1])
     result = _pieri_check(contexts)
     assert result.name == "pieri-multiplicity-free"
     assert not result.passed
@@ -270,7 +273,7 @@ def test_duality_pairing_orthonormal():
 
 def test_determinant_and_tableau_rules_agree():
     rng = random.Random(7)
-    for ctx in (G25, G36, GrassCtx(3, 7)):
+    for ctx in (G25, G36, GrassCtx(3, 7), GrassCtx(3, 5), GrassCtx(4, 6)):
         basis = ctx.box_partitions()
         for _ in range(40):
             x = schubert_class(ctx, rng.choice(basis))
