@@ -47,10 +47,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _int(text: str) -> int:
+    """An optional '-' and ASCII digits; int() alone also takes '_', '+', spaces and other scripts' digits."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
 def _int_list(text: str) -> tuple:
     try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
+        return tuple(_int(part) for part in text.split(","))
+    except (argparse.ArgumentTypeError, ValueError):
         raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}") from None
 
 
@@ -68,7 +76,7 @@ def build_parser() -> _Parser:
     p_count = sub.add_parser("count", help="run a counting recipe")
     count_sub = p_count.add_subparsers(dest="recipe", required=True, metavar="recipe")
     intersection = argparse.ArgumentParser(add_help=False)
-    intersection.add_argument("--ambient", type=int, metavar="N",
+    intersection.add_argument("--ambient", type=_int, metavar="N",
                               help="dimension of the ambient projective space")
     intersection.add_argument("--degrees", type=_int_list, metavar="d1,d2,...",
                               help="degrees of the defining equations")
@@ -79,9 +87,9 @@ def build_parser() -> _Parser:
     p_equiv = sub.add_parser("equivalence", parents=[_json_flag()],
                              help="contribution of a family or a multiple cover")
     group = p_equiv.add_mutually_exclusive_group(required=True)
-    group.add_argument("--family-dim", type=int, metavar="K",
+    group.add_argument("--family-dim", type=_int, metavar="K",
                        help="dimension of one connected unobstructed family piece")
-    group.add_argument("--cover", type=int, metavar="M",
+    group.add_argument("--cover", type=_int, metavar="M",
                        help="weight of degree-M covers of a rigid rational curve")
     p_equiv.add_argument("--chern-integrals", type=_int_list, metavar="v0,v1,...",
                          help="precomputed obstruction-class integrals, indexed by family dimension")
@@ -96,7 +104,7 @@ def build_parser() -> _Parser:
     p_verify = sub.add_parser("verify", parents=[_json_flag()], help="run a self-check suite")
     p_verify.add_argument("--suite", choices=SUITE_NAMES, required=True,
                           help="which checks to run")
-    p_verify.add_argument("--seed", type=int, default=2026,
+    p_verify.add_argument("--seed", type=_int, default=2026,
                           help="seed for the randomized property checks")
 
     return parser
@@ -185,9 +193,8 @@ def _cmd_equivalence(args) -> int:
         else:
             print(f"degree-{args.cover} covers of a rigid rational curve each weigh {weight}")
         return 0
-    integrals = list(args.chern_integrals) if args.chern_integrals is not None else None
     try:
-        value = equivalence_unobstructed(args.family_dim, integrals)
+        value = equivalence_unobstructed(args.family_dim, args.chern_integrals)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

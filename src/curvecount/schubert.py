@@ -15,10 +15,11 @@ which maps sigma_lambda to sigma_lambda' and horizontal strips to vertical
 ones; so does pieri.  An independent Littlewood-Richardson tableau rule is
 provided purely as a cross-check of that pipeline.
 
-Validation happens at the public constructors: Partition, SchubertCycle,
-schubert_class, pieri and dual_partition check their input, while the
-arithmetic builds its results without re-checking terms it already knows to
-be valid.  That element core is shared with the projective-bundle ring.
+A partition is checked once, where it enters: Partition, SchubertCycle,
+schubert_class, pieri and dual_partition check their input, the last four
+through one box check.  Strips, box enumeration, the point class,
+conjugates, tautological classes and arithmetic results are built trusted.
+That element core is shared with the projective-bundle ring.
 
 Everything here is immutable; operations return new values.  The
 structure constants of basis pairs are cached in one product table per
@@ -51,9 +52,8 @@ class Partition(tuple):
 
     def __new__(cls, parts=()):
         parts = tuple(parts)
-        for p in parts:
-            if not isinstance(p, int) or isinstance(p, bool):  # _is_int, inlined on a hot path
-                raise ValueError(f"partition parts must be integers: {parts}")
+        if not all(_is_int(p) for p in parts):
+            raise ValueError(f"partition parts must be integers: {parts}")
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         if any(p < 0 for p in parts):
@@ -175,7 +175,7 @@ class GrassCtx(_Record):
     @property
     def point(self) -> Partition:
         """The full-box partition indexing the class of a point."""
-        return Partition((self.width,) * self.k)
+        return tuple.__new__(Partition, (self.width,) * self.k)
 
     def fits(self, lam) -> bool:
         lam = Partition(lam)
@@ -186,22 +186,22 @@ class GrassCtx(_Record):
 
         Deterministic order: by weight, then reverse lexicographic.
         """
-        out = []
-
-        def rec(prefix, maxpart, rows_left):
-            out.append(Partition(prefix))
-            if rows_left == 0:
-                return
-            for p in range(maxpart, 0, -1):
-                rec(prefix + [p], p, rows_left - 1)
-
-        rec([], self.width, self.k)
-        if weight is not None:
-            out = [lam for lam in out if lam.weight == weight]
+        # picks from width..1 with replacement come out weakly decreasing
+        out = [tuple.__new__(Partition, parts) for rows in range(self.k + 1)
+               for parts in itertools.combinations_with_replacement(range(self.width, 0, -1), rows)
+               if weight is None or sum(parts) == weight]
         return sorted(out, key=_basis_order)
 
     def __str__(self):
         return f"G({self.k},{self.n})"
+
+
+def _box_partition(ctx: GrassCtx, parts) -> Partition:
+    """parts as a Partition that fits the box of ctx, or ValueError."""
+    lam = Partition(parts)
+    if len(lam) > ctx.k or (lam and lam[0] > ctx.width):
+        raise ValueError(f"partition {tuple(lam)} does not fit the box of {ctx}")
+    return lam
 
 
 class _Element:
@@ -345,9 +345,7 @@ class SchubertCycle(_Element):
         clean = {}
         items = terms.items() if hasattr(terms, "items") else terms
         for lam, coeff in items:
-            lam = Partition(lam)
-            if not ctx.fits(lam):
-                raise ValueError(f"partition {tuple(lam)} does not fit the box of {ctx}")
+            lam = _box_partition(ctx, lam)
             if not _is_int(coeff):
                 raise ValueError(f"coefficient of sigma{tuple(lam)} must be an integer, got {coeff!r}")
             if coeff:
@@ -391,7 +389,7 @@ class SchubertCycle(_Element):
 
 def schubert_class(ctx: GrassCtx, parts) -> SchubertCycle:
     """The basis class sigma_parts on ctx."""
-    return SchubertCycle(ctx, {Partition(parts): 1})
+    return SchubertCycle._trusted(ctx, {_box_partition(ctx, parts): 1})
 
 
 def dual_partition(lam, ctx: GrassCtx) -> Partition:
@@ -400,15 +398,13 @@ def dual_partition(lam, ctx: GrassCtx) -> Partition:
     The dual class is the unique basis partner under the integration
     pairing; applying the complement twice gives lam back.
     """
-    lam = Partition(lam)
-    if not ctx.fits(lam):
-        raise ValueError(f"partition {tuple(lam)} does not fit the box of {ctx}")
+    lam = _box_partition(ctx, lam)
     padded = list(lam) + [0] * (ctx.k - len(lam))
     return Partition(ctx.width - padded[ctx.k - 1 - i] for i in range(ctx.k))
 
 
 def _vertical_strips(lam: Partition, a: int, rows: int, width: int) -> list[Partition]:
-    # mu_i in {lam_i, lam_i + 1}, mu weakly decreasing inside the rows x width box
+    # mu_i in {lam_i, lam_i + 1}, mu weakly decreasing inside the rows x width box, no zero rows
     padded = list(lam) + [0] * (rows - len(lam))
     out = []
 
@@ -417,13 +413,13 @@ def _vertical_strips(lam: Partition, a: int, rows: int, width: int) -> list[Part
             return
         if i == rows:
             if remaining == 0:
-                out.append(Partition(acc))
+                out.append(tuple.__new__(Partition, acc))
             return
         for add in (0, 1):
             m = padded[i] + add
             if add > remaining or m > prev or (i == 0 and m > width):
                 continue
-            rec(i + 1, remaining - add, m, acc + [m])
+            rec(i + 1, remaining - add, m, acc + [m] if m else acc)
 
     rec(0, a, width, [])
     return out
@@ -436,13 +432,11 @@ def pieri(lam, a: int, ctx: GrassCtx) -> SchubertCycle:
     horizontal strip of a boxes; every coefficient is 1 and any mu leaving
     the box is dropped silently.
     """
-    lam = Partition(lam)
-    if not ctx.fits(lam):
-        raise ValueError(f"partition {tuple(lam)} does not fit the box of {ctx}")
+    lam = _box_partition(ctx, lam)
     if not _is_int(a) or not 0 <= a <= ctx.width:
         raise ValueError(f"special class index must lie in 0..{ctx.width}, got {a}")
     # a horizontal strip on lam is a vertical strip on lam' in the transposed box
-    return SchubertCycle(ctx, {mu.conjugate(): 1 for mu in _vertical_strips(lam.conjugate(), a, ctx.width, ctx.k)})
+    return SchubertCycle._trusted(ctx, {mu.conjugate(): 1 for mu in _vertical_strips(lam.conjugate(), a, ctx.width, ctx.k)})
 
 
 def _apply_strips(terms: dict, a: int, rows: int, width: int) -> dict:
@@ -535,7 +529,7 @@ def multiply(x: SchubertCycle, y: SchubertCycle) -> SchubertCycle:
 def integrate(x: SchubertCycle) -> int:
     """Degree of the zero-dimensional part: the coefficient of the point
     class.  Components of lower codimension contribute nothing."""
-    return x.coefficient(x.ctx.point)
+    return x._terms.get(x._space.point, 0)
 
 
 def chern_tautological(ctx: GrassCtx, which: str, i: int) -> SchubertCycle:
@@ -552,10 +546,9 @@ def chern_tautological(ctx: GrassCtx, which: str, i: int) -> SchubertCycle:
         raise ValueError(f"index {i} out of range for rank {ranks[which]}")
     if i == 0:
         return SchubertCycle.unit(ctx)
-    if which == "quotient":
-        return schubert_class(ctx, (i,))
-    col = schubert_class(ctx, (1,) * i)
-    return col if which == "sub_dual" else (-1) ** i * col
+    # the range check keeps (i) and (1^i) inside the box
+    lam = tuple.__new__(Partition, (i,) if which == "quotient" else (1,) * i)
+    return SchubertCycle._trusted(ctx, {lam: (-1) ** i if which == "sub" else 1})
 
 
 def lr_coefficient(lam, mu, nu) -> int:

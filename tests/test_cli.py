@@ -198,6 +198,35 @@ def test_count_malformed_degrees_exits_one(capsys):
     assert "comma-separated" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "lines", "--ambient", "٤", "--degrees", "5"],
+        ["count", "lines", "--ambient", "4", "--degrees", "٥"],
+        ["count", "lines", "--ambient", "4", "--degrees", "5_0"],
+        ["count", "lines", "--ambient", "+4", "--degrees", "5"],
+        ["count", "lines", "--ambient", " 4", "--degrees", "5"],
+        ["count", "lines", "--ambient", "4", "--degrees", "5,"],
+        ["count", "lines", "--ambient", "4", "--degrees", "2,-"],
+        ["equivalence", "--cover", "٣"],
+        ["equivalence", "--family-dim", "１"],
+        ["equivalence", "--family-dim", "1", "--chern-integrals", "0,٢"],
+        ["verify", "--suite", "classical", "--seed", "٧"],
+    ],
+)
+def test_integer_options_take_only_ascii_digits(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "error: argument" in err
+
+
+def test_negative_chern_integrals_are_integers(capsys):
+    code, out, _ = run_cli(capsys, "equivalence", "--family-dim", "1", "--chern-integrals=0,-3")
+    assert code == 0
+    assert "piece: -3" in out
+
+
 def test_equivalence_family(capsys):
     code, out, _ = run_cli(capsys, "equivalence", "--family-dim", "1", "--chern-integrals", "0,20")
     assert code == 0

@@ -318,6 +318,7 @@ def assert_valid_element(x):
     for (j, lam), c in x.terms.items():
         assert 0 <= j < ring.fiber_rank
         assert isinstance(lam, Partition) and ring.base.ctx.fits(lam)
+        assert tuple(lam) == tuple(Partition(lam))
         assert isinstance(c, int) and c != 0
 
 

@@ -1,4 +1,6 @@
+import contextlib
 import copy
+import io
 import math
 import pickle
 import random
@@ -185,6 +187,61 @@ def test_out_of_box_class_rejected():
             SchubertCycle(G24, {(1,): coeff})
 
 
+OUT_OF_BOX = "partition (3,) does not fit the box of G(2,4)"
+
+
+def _raised(build):
+    def message():
+        with pytest.raises(ValueError) as info:
+            build()
+        return str(info.value)
+    return message
+
+
+def _cli_message():
+    from curvecount import cli
+
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert cli.main(["grass", "sigma[3] in G(2,4)"]) == 1
+    return err.getvalue().removeprefix("evaluation error: ").removesuffix("\n")
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        _raised(lambda: SchubertCycle(G24, {(3,): 1})),
+        _raised(lambda: schubert_class(G24, (3,))),
+        _raised(lambda: pieri((3,), 1, G24)),
+        _raised(lambda: dual_partition((3, 0), G24)),
+        _cli_message,
+    ],
+    ids=["SchubertCycle", "schubert_class", "pieri", "dual_partition", "cli"],
+)
+def test_every_entry_reports_an_out_of_box_partition_alike(entry):
+    assert entry() == OUT_OF_BOX
+
+
+def test_each_entering_partition_is_validated_once(monkeypatch):
+    import curvecount.schubert as schubert
+    from curvecount.dsl import evaluate
+
+    calls = []
+    inner = schubert.Partition.__new__
+
+    def counting(cls, parts=()):
+        calls.append(parts)
+        return inner(cls, parts)
+
+    x = (schubert_class(G25, (2, 1)) + 1) ** 2
+    monkeypatch.setattr(schubert.Partition, "__new__", counting)
+    schubert_class(G25, (2, 1))
+    assert len(calls) == 1
+    evaluate("sigma[2,1] in G(2,5)")
+    assert len(calls) == 2
+    assert integrate(x) == 1
+    assert len(calls) == 2
+
+
 def test_cycles_from_different_contexts_do_not_mix():
     with pytest.raises(ValueError):
         schubert_class(G24, (1,)) + schubert_class(G25, (1,))
@@ -336,6 +393,8 @@ def assert_valid_cycle(x):
     assert SchubertCycle(x.ctx, x.terms) == x
     for lam, c in x.terms.items():
         assert isinstance(lam, Partition) and x.ctx.fits(lam)
+        # a trusted key with a zero row would be a second key for one class
+        assert tuple(lam) == tuple(Partition(lam))
         assert isinstance(c, int) and c != 0
 
 
