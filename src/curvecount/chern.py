@@ -11,10 +11,10 @@ degrees up to the target ring's top degree, and the result is substituted
 into the Grassmannian ring or a projective-bundle ring.  See Fulton,
 Intersection Theory, ch. 3, and Katz and Stromme's Schubert package.
 
-All coefficients are arbitrary-precision integers, every division is an
-exact integer division that raises on a remainder, and every value is
-immutable.  The polynomial cache is a functools.lru_cache and is safe to
-share across threads.
+All coefficients are arbitrary-precision integers; products are summed in
+place, and every division is exact, raises on a remainder and drops zero
+terms.  Every value is immutable, and the polynomial cache is a
+functools.lru_cache, safe to share across threads.
 """
 
 from __future__ import annotations
@@ -55,34 +55,35 @@ class GrassRing(_Record):
         return ChernVector(self, rank, classes)
 
 
-def _poly_add(acc: dict, p: dict, scale: int = 1) -> None:
-    """acc += scale * p, in place, dropping zero coefficients."""
+def _poly_add(acc: dict, p: dict, scale: int) -> None:
+    """acc += scale * p, in place; zero coefficients stay until _exact_div."""
+    get = acc.get
     for e, c in p.items():
-        v = acc.get(e, 0) + scale * c
-        if v:
-            acc[e] = v
-        else:
-            acc.pop(e, None)
+        acc[e] = get(e, 0) + scale * c
 
 
-def _poly_mul(p: dict, q: dict) -> dict:
-    """p * q; may hold zero coefficients, which _poly_add drops."""
-    out = {}
+def _poly_addmul(acc: dict, p: dict, q: dict, scale: int) -> None:
+    """acc += scale * p * q, in place, building no product; zeros stay too."""
+    if len(p) > len(q):
+        p, q = q, p
+    get = acc.get
+    q_items = q.items()
     for e1, c1 in p.items():
-        for e2, c2 in q.items():
+        c1 *= scale
+        for e2, c2 in q_items:
             e = e1 + e2
-            out[e] = out.get(e, 0) + c1 * c2
-    return out
+            acc[e] = get(e, 0) + c1 * c2
 
 
 def _exact_div(p: dict, k: int) -> dict:
-    """p / k, raising ArithmeticError unless every coefficient divides."""
+    """p / k with zero terms dropped; ArithmeticError unless every coefficient divides."""
     out = {}
     for e, c in p.items():
         q, rem = divmod(c, k)
         if rem:
             raise ArithmeticError(f"coefficient {c} is not divisible by {k}")
-        out[e] = q
+        if q:
+            out[e] = q
     return out
 
 
@@ -100,9 +101,9 @@ def _sym_chern_polys(r: int, m: int, top: int) -> tuple:
         s P_j(Sym^s) = sum_{a=1..s} sum_i binom(j, i) a^i P_i(E) P_{j-i}(Sym^(s-a)),
 
     with P_0(Sym^s) = binom(s + r - 1, r - 1), gives the power sums of each
-    Sym^s; Newton's identities again give its Chern classes.  Every division
-    is exact over the integers and checked.  Results are shared between
-    callers and must not be mutated.
+    Sym^s; Newton's identities again give its Chern classes.  Products are
+    summed in place; every division is exact, checked, and drops the zero
+    terms the sums left.  Results are shared and must not be mutated.
     """
     nvars = min(r, top)
     depth = min(comb(m + r - 1, r - 1), top)
@@ -120,7 +121,7 @@ def _sym_chern_polys(r: int, m: int, top: int) -> tuple:
     for k in range(1, depth + 1):
         acc = {}
         for i in range(1, min(k - 1, nvars) + 1):
-            _poly_add(acc, _poly_mul(c(i), power_e[k - i]), (-1) ** (i - 1))
+            _poly_addmul(acc, c(i), power_e[k - i], (-1) ** (i - 1))
         if k <= nvars:
             _poly_add(acc, c(k), (-1) ** (k - 1) * k)
         power_e.append(acc)
@@ -134,8 +135,7 @@ def _sym_chern_polys(r: int, m: int, top: int) -> tuple:
                 w = {}
                 for b in range(s):
                     _poly_add(w, sym[b][j - i], (s - b) ** i)
-                if w:
-                    _poly_add(acc, _poly_mul(power_e[i], w), comb(j, i))
+                _poly_addmul(acc, power_e[i], w, comb(j, i))
             row.append(_exact_div(acc, s))
         sym.append(row)
 
@@ -145,7 +145,7 @@ def _sym_chern_polys(r: int, m: int, top: int) -> tuple:
     for k in range(1, depth + 1):
         acc = {}
         for i in range(1, k + 1):
-            _poly_add(acc, _poly_mul(chern[k - i], power[i]), (-1) ** (i - 1))
+            _poly_addmul(acc, chern[k - i], power[i], (-1) ** (i - 1))
         chern.append(_exact_div(acc, k))
     return tuple(
         {tuple(e // base**i % base for i in range(nvars)): c for e, c in p.items()} for p in chern[1:]
@@ -198,10 +198,7 @@ class ChernVector(_Record):
 
     def total(self):
         """The inhomogeneous total class 1 + c_1 + c_2 + ..."""
-        acc = self.ring.one()
-        for c in self.classes:
-            acc = acc + c
-        return acc
+        return sum(self.classes, self.ring.one())
 
 
 def _series_mul(a: list, b: list, ring, top: int) -> list:

@@ -52,14 +52,17 @@ def _int(text: str) -> int:
     digits = text[1:] if text.startswith("-") else text
     if not (digits.isascii() and digits.isdigit()):
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise argparse.ArgumentTypeError("integer too long") from None
 
 
 def _int_list(text: str) -> tuple:
     try:
         return tuple(_int(part) for part in text.split(","))
-    except (argparse.ArgumentTypeError, ValueError):
-        raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}") from None
+    except argparse.ArgumentTypeError as exc:
+        raise argparse.ArgumentTypeError(f"expected a comma-separated integer list: {exc}") from None
 
 
 _COUNTERS = {"lines": lines_on_complete_intersection, "conics": conics_on_complete_intersection}

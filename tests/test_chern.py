@@ -80,8 +80,21 @@ def test_sym_chern_truncates_at_top_degree():
 
 def test_exact_division_checks_remainders():
     assert _exact_div({(2, 0): 6, (0, 1): -4}, 2) == {(2, 0): 3, (0, 1): -2}
+    # the in-place sums leave cancelled terms behind; the division drops them
+    assert _exact_div({(1, 0): 0, (0, 1): 4}, 2) == {(0, 1): 2}
     with pytest.raises(ArithmeticError):
         _exact_div({(2, 0): 6, (0, 1): 3}, 2)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_sym_chern_polys_hold_no_zero_coefficients(r):
+    # sym_power pays one ring product per monomial, so a stored zero costs work, not an error
+    for m in range(6):
+        rank = math.comb(m + r - 1, r - 1)
+        for top in {1, 2, 3, 6, min(rank, 10)}:
+            if top <= rank:
+                for p in _sym_chern_polys(r, m, top):
+                    assert all(p.values()), (r, m, top)
 
 
 @pytest.mark.parametrize("k,n,m,count", [(3, 8, 4, 3297280), (4, 9, 3, 321489), (3, 10, 5, 420760566875)])

@@ -212,6 +212,9 @@ def test_count_malformed_degrees_exits_one(capsys):
         ["equivalence", "--family-dim", "１"],
         ["equivalence", "--family-dim", "1", "--chern-integrals", "0,٢"],
         ["verify", "--suite", "classical", "--seed", "٧"],
+        # more digits than int() converts: the error names the problem, not the digits
+        ["count", "lines", "--ambient", "1" * 5000, "--degrees", "5"],
+        ["count", "lines", "--ambient", "4", "--degrees", "5," + "1" * 5000],
     ],
 )
 def test_integer_options_take_only_ascii_digits(capsys, argv):
@@ -219,6 +222,8 @@ def test_integer_options_take_only_ascii_digits(capsys, argv):
     assert code == 1
     assert out == ""
     assert "error: argument" in err
+    assert "_int" not in err
+    assert len(err) < 500
 
 
 def test_negative_chern_integrals_are_integers(capsys):
