@@ -42,6 +42,9 @@ any computation starts:
     MAX_RANK       the rank of every bundle the query names
     MAX_EXPONENT   the exponent of a power times the exponents of the
                    powers around it, so nesting cannot square the cap
+
+A query nested past the interpreter's recursion limit is refused too, as a
+ParseError or an EvalError that says it nests too deeply.
 """
 
 from __future__ import annotations
@@ -383,7 +386,11 @@ class _Parser:
 
 def parse(text: str) -> Query:
     """Parse a full query (expression plus context clause)."""
-    return _Parser(text).query()
+    parser = _Parser(text)
+    try:
+        return parser.query()
+    except RecursionError:
+        raise ParseError("expression nests too deeply", *_line_col(text, parser.offsets[parser.pos])) from None
 
 
 # ---------------------------------------------------------------- renderer
@@ -622,9 +629,12 @@ def evaluate(query) -> EvalResult:
     """
     if isinstance(query, str):
         query = parse(query)
-    _check_size(query)
-    ring = _resolve_context(query.context)
-    value = _eval_expr(query.expr, ring)
+    try:
+        _check_size(query)
+        ring = _resolve_context(query.context)
+        value = _eval_expr(query.expr, ring)
+    except RecursionError:
+        raise EvalError("expression nests too deeply") from None
     context = render_context(query.context)
     if isinstance(value, int):
         return EvalResult("integer", value, str(value), context)

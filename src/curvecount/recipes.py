@@ -361,6 +361,8 @@ def load_ledger_file(path) -> list:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from None
+        except RecursionError:
+            raise ValueError(f"{path}: not valid JSON (nested too deeply)") from None
     if not isinstance(data, dict) or "ledgers" not in data:
         raise ValueError(f"{path}: expected an object with a 'ledgers' list")
     if not isinstance(data["ledgers"], list):

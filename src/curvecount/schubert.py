@@ -6,14 +6,16 @@ sigma_lambda indexed by partitions fitting a k x (n-k) box.  sigma_lambda has
 codimension |lambda|, the class of a point is the full box, and the ring is
 graded with top degree k(n-k).
 
-Products are computed with arbitrary-precision integers by expanding one
-factor through the column (dual) Giambelli determinant into the column
-classes sigma_(1^i) and adding vertical strips for each, the dual Pieri
-rule.  The row form of the determinant runs as the column form on the
-transposed (n-k) x k box, the box of the dual Grassmannian G(n-k, n),
-which maps sigma_lambda to sigma_lambda' and horizontal strips to vertical
-ones; so does pieri.  An independent Littlewood-Richardson tableau rule is
-provided purely as a cross-check of that pipeline.
+Products are computed with arbitrary-precision integers by one step of the
+column (dual) Giambelli determinant of one factor along its first column:
+each term is a column class sigma_(1^i) times a basis product with one
+column fewer, read from the product table or computed into it, and the
+column class adds vertical strips, the dual Pieri rule.  The row form of
+the determinant runs as the column form on the transposed (n-k) x k box,
+the box of the dual Grassmannian G(n-k, n), which maps sigma_lambda to
+sigma_lambda' and horizontal strips to vertical ones; so does pieri.  An
+independent Littlewood-Richardson tableau rule is provided purely as a
+cross-check of that pipeline.
 
 A partition is checked once, where it enters: Partition, SchubertCycle,
 schubert_class, pieri and dual_partition check their input, the last four
@@ -439,69 +441,50 @@ def pieri(lam, a: int, ctx: GrassCtx) -> SchubertCycle:
     return SchubertCycle._trusted(ctx, {mu.conjugate(): 1 for mu in _vertical_strips(lam.conjugate(), a, ctx.width, ctx.k)})
 
 
-def _apply_strips(terms: dict, a: int, rows: int, width: int) -> dict:
-    out = {}
-    for lam, coeff in terms.items():
-        for mu in _vertical_strips(lam, a, rows, width):
-            out[mu] = out.get(mu, 0) + coeff
-    return {lam: c for lam, c in out.items() if c}
-
-
-def _permutation_sign(perm) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
 def _basis_product(ctx: GrassCtx, lam: Partition, mu: Partition):
-    """Structure constants of sigma_lam * sigma_mu as ((nu, coeff), ...),
-    computed afresh; callers cache them in ctx._table."""
+    """Structure constants of sigma_lam * sigma_mu as ((nu, coeff), ...).
+
+    One step of the column Giambelli determinant along its first column:
+    with c the columns of lam, sigma_lam = sum_j (-1)^j sigma_(1^(c_j - j))
+    sigma_lam(j), where lam(j) has the columns c_0+1, ..., c_(j-1)+1,
+    c_(j+1), ...; the terms stop at the first c_j < j, and a lam(j) that
+    leaves the box is zero.  Each sigma_lam(j) * sigma_mu is a basis product
+    with one column fewer, read from ctx._table or computed and stored
+    there, and gets vertical strips of c_j - j boxes, the dual Pieri rule.
+    The factor with the smaller min(rows, columns) is expanded, in the row
+    form when it has fewer rows than columns, the column form winning ties.
+    The row form is the column form on the transposed (n-k) x k box, so the
+    sub-products' terms go in conjugated and the result comes out
+    conjugated.
+    """
     if not lam:
         return ((mu, 1),)
     if not mu:
         return ((lam, 1),)
-
-    # Giambelli determinant size: number of columns for the column form,
-    # number of rows for the row form.  Expand whichever factor admits the
-    # smallest determinant, the column form on a tie.  The row form of a
-    # factor is its conjugate's column form on the transposed (n-k) x k box,
-    # so every expansion adds vertical strips: there onto goes in conjugated
-    # and each result comes out conjugated.
-    candidates = [
-        (lam[0], False, lam, mu),
-        (len(lam), True, lam, mu),
-        (mu[0], False, mu, lam),
-        (len(mu), True, mu, lam),
-    ]
-    size, transposed, expand, onto = min(candidates, key=itemgetter(0, 1))
+    if (min(len(mu), mu[0]), len(mu) < mu[0]) < (min(len(lam), lam[0]), len(lam) < lam[0]):
+        lam, mu = mu, lam
+    transposed = len(lam) < lam[0]
     if transposed:
-        shape, rows, width, onto = expand, ctx.width, ctx.k, onto.conjugate()
+        cols, rows, width = lam, ctx.width, ctx.k
     else:
-        shape, rows, width = expand.conjugate(), ctx.k, ctx.width
+        cols, rows, width = lam.conjugate(), ctx.k, ctx.width
+    table = ctx._table
     acc = {}
-    for perm in itertools.permutations(range(size)):
-        factors = []
-        dead = False
-        for i in range(size):
-            e = (shape[i] if i < len(shape) else 0) + perm[i] - i
-            if e < 0 or e > rows:
-                dead = True
-                break
-            if e:
-                factors.append(e)
-        if dead:
+    for j, cj in enumerate(cols):
+        if cj < j:
+            break
+        shape = tuple.__new__(Partition, [c + 1 for c in cols[:j]] + list(cols[j + 1:]))
+        if shape and shape[0] > rows:
             continue
-        sign = _permutation_sign(perm)
-        terms = {onto: sign}
-        for a in factors:
-            terms = _apply_strips(terms, a, rows, width)
-            if not terms:
-                break
-        for nu, c in terms.items():
-            acc[nu] = acc.get(nu, 0) + c
+        sub = shape if transposed else shape.conjugate()
+        key = (sub, mu) if sub <= mu else (mu, sub)
+        prod = table.get(key)
+        if prod is None:
+            prod = table[key] = _basis_product(ctx, *key)
+        sign = -1 if j & 1 else 1
+        for nu, c in prod:
+            for xi in _vertical_strips(nu.conjugate() if transposed else nu, cj - j, rows, width):
+                acc[xi] = acc.get(xi, 0) + sign * c
     if transposed:
         acc = {nu.conjugate(): c for nu, c in acc.items()}
     return tuple(sorted(((nu, c) for nu, c in acc.items() if c), key=lambda kv: _basis_order(kv[0])))

@@ -98,6 +98,24 @@ def test_grass_size_cap_exits_one(capsys, query):
     assert err.count("\n") == 1 and "above the cap" in err
 
 
+@pytest.mark.parametrize(
+    "query, diagnostic",
+    [
+        ("(" * 5000 + "sigma[1]" + ")" * 5000 + " in G(2,4)", "syntax error"),
+        ("c(1, " + "dual(" * 3000 + "S" + ")" * 3000 + ") in G(2,4)", "syntax error"),
+        # parses with a loop, but the product nests one level per factor
+        ("integrate(" + "*".join(["sigma[1]"] * 3001) + ") in G(2,4)", "evaluation error"),
+    ],
+    ids=["parentheses", "duals", "factors"],
+)
+def test_grass_deep_nesting_exits_one(capsys, query, diagnostic):
+    code, out, err = run_cli(capsys, "grass", query)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(diagnostic) and err.rstrip().endswith("expression nests too deeply")
+
+
 def test_count_lines_text(capsys):
     code, out, _ = run_cli(capsys, "count", "lines", "--ambient", "4", "--degrees", "5")
     assert code == 0
@@ -321,6 +339,15 @@ def test_ledger_check_bad_file_exits_one(tmp_path, capsys):
     assert "error" in err
     code, _, err = run_cli(capsys, "ledger", "check", str(tmp_path / "missing.json"))
     assert code == 1
+
+
+def test_ledger_check_deeply_nested_file_exits_one(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    code, out, err = run_cli(capsys, "ledger", "check", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path}: not valid JSON (nested too deeply)\n"
 
 
 def test_verify_classical(capsys):

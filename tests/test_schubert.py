@@ -338,6 +338,29 @@ def test_determinant_and_tableau_rules_agree():
             assert multiply(x, y) == multiply_lr(x, y)
 
 
+def test_every_stored_sub_product_is_correct():
+    # a basis product stores the smaller products its expansion reads
+    ctx = GrassCtx(4, 9)
+    ctx._table.clear()
+    multiply(schubert_class(ctx, (3, 2, 2, 1)), schubert_class(ctx, (4, 3, 1)))
+    assert (Partition((3, 2, 2, 1)), Partition((4, 3, 1))) in ctx._table
+    for (lam, mu), prod in ctx._table.items():
+        assert SchubertCycle(ctx, dict(prod)) == multiply_lr(schubert_class(ctx, lam), schubert_class(ctx, mu))
+
+
+def test_products_commute_with_the_duality_of_grassmannians():
+    # G(3,7) = G(4,7) maps sigma_lam to sigma_lam', so one side's row form
+    # is the other side's column form
+    ctx, dual = GrassCtx(3, 7), GrassCtx(4, 7)
+    basis = ctx.box_partitions()
+    pairs = [(lam, mu) for i, lam in enumerate(basis) for mu in basis[i:]]
+    assert len(pairs) == 630
+    for lam, mu in pairs:
+        prod = multiply(schubert_class(ctx, lam), schubert_class(ctx, mu))
+        conjugated = SchubertCycle(dual, {nu.conjugate(): c for nu, c in prod.terms.items()})
+        assert conjugated == multiply(schubert_class(dual, lam.conjugate()), schubert_class(dual, mu.conjugate()))
+
+
 def test_lr_coefficient_examples():
     # sigma_1 * sigma_1 = sigma_2 + sigma_11 regardless of any box
     assert lr_coefficient((1,), (1,), (2,)) == 1
