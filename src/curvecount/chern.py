@@ -196,10 +196,6 @@ class ChernVector(_Record):
         """[c_0, c_1, ..., c_top] padded with zeros above the stored classes."""
         return [self.c(i) for i in range(top + 1)]
 
-    def total(self):
-        """The inhomogeneous total class 1 + c_1 + c_2 + ..."""
-        return sum(self.classes, self.ring.one())
-
 
 def _series_mul(a: list, b: list, ring, top: int) -> list:
     # both series run through degree top and start with c_0 = 1, whose terms are

@@ -43,8 +43,9 @@ any computation starts:
     MAX_EXPONENT   the exponent of a power times the exponents of the
                    powers around it, so nesting cannot square the cap
 
-A query nested past the interpreter's recursion limit is refused too, as a
-ParseError or an EvalError that says it nests too deeply.
+A query nested past the interpreter's recursion limit (parentheses, unary
+minus, integrate, dual) is refused too, as a ParseError or an EvalError that
+says it nests too deeply; the length of a sum or product is not nesting.
 """
 
 from __future__ import annotations
@@ -113,15 +114,11 @@ class Neg(_Record):
 
 
 class Add(_Record):
-    _fields = ("left", "right")
-
-
-class Sub(_Record):
-    _fields = ("left", "right")
+    _fields = ("terms",)  # (sign, term) pairs: sign 1 or -1, the first 1
 
 
 class Mul(_Record):
-    _fields = ("left", "right")
+    _fields = ("factors",)  # nodes
 
 
 class Pow(_Record):
@@ -262,23 +259,21 @@ class _Parser:
         return k, n
 
     def expr(self):
-        node = self.term()
-        while True:
-            if self.at("+"):
-                self.advance()
-                node = Add(node, self.term())
-            elif self.at("-"):
-                self.advance()
-                node = Sub(node, self.term())
-            else:
-                return node
+        # a chain is one node; a parenthesized chain that leads a chain of its
+        # own kind is spliced in, so (a + b) + c parses as a + b + c
+        first = self.term()
+        terms = list(first.terms) if type(first) is Add else [(1, first)]
+        while self.at("+") or self.at("-"):
+            terms.append((1 if self.advance() == "+" else -1, self.term()))
+        return Add(tuple(terms)) if len(terms) > 1 else first
 
     def term(self):
-        node = self.factor()
+        first = self.factor()
+        factors = list(first.factors) if type(first) is Mul else [first]
         while self.at("*"):
             self.advance()
-            node = Mul(node, self.factor())
-        return node
+            factors.append(self.factor())
+        return Mul(tuple(factors)) if len(factors) > 1 else first
 
     def factor(self):
         if self.at("-"):
@@ -396,20 +391,11 @@ def parse(text: str) -> Query:
 # ---------------------------------------------------------------- renderer
 
 _LEVEL_ADD, _LEVEL_MUL, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4
-
-
-def _prec(node) -> int:
-    if isinstance(node, (Add, Sub, Neg)):
-        return _LEVEL_ADD
-    if isinstance(node, Mul):
-        return _LEVEL_MUL
-    if isinstance(node, Pow):
-        return _LEVEL_POW
-    return _LEVEL_ATOM
+_LEVELS = {Add: _LEVEL_ADD, Neg: _LEVEL_ADD, Mul: _LEVEL_MUL, Pow: _LEVEL_POW}
 
 
 def _render(node, parent_level: int) -> str:
-    level = _prec(node)
+    level = _LEVELS.get(type(node), _LEVEL_ATOM)
     if isinstance(node, IntLit):
         text = str(node.value)
     elif isinstance(node, Sigma):
@@ -425,11 +411,15 @@ def _render(node, parent_level: int) -> str:
         # power must be parenthesized to survive a re-parse
         text = "-" + _render(node.expr, _LEVEL_POW)
     elif isinstance(node, Add):
-        text = f"{_render(node.left, _LEVEL_ADD)} + {_render(node.right, _LEVEL_MUL)}"
-    elif isinstance(node, Sub):
-        text = f"{_render(node.left, _LEVEL_ADD)} - {_render(node.right, _LEVEL_MUL)}"
+        (_, first), *rest = node.terms
+        text = _render(first, _LEVEL_ADD)
+        for sign, term in rest:
+            text += (" + " if sign > 0 else " - ") + _render(term, _LEVEL_MUL)
     elif isinstance(node, Mul):
-        text = f"{_render(node.left, _LEVEL_MUL)}*{_render(node.right, _LEVEL_POW)}"
+        first, *rest = node.factors
+        text = _render(first, _LEVEL_MUL)
+        for factor in rest:
+            text += "*" + _render(factor, _LEVEL_POW)
     elif isinstance(node, Pow):
         text = f"{_render(node.base, _LEVEL_ATOM)}^{node.exponent}"
     else:
@@ -555,11 +545,18 @@ def _eval_expr(node, ring):
     if isinstance(node, Neg):
         return -_eval_expr(node.expr, ring)
     if isinstance(node, Add):
-        return _eval_expr(node.left, ring) + _eval_expr(node.right, ring)
-    if isinstance(node, Sub):
-        return _eval_expr(node.left, ring) - _eval_expr(node.right, ring)
+        (_, first), *rest = node.terms
+        value = _eval_expr(first, ring)
+        for sign, term in rest:
+            operand = _eval_expr(term, ring)
+            value = value + operand if sign > 0 else value - operand
+        return value
     if isinstance(node, Mul):
-        return _eval_expr(node.left, ring) * _eval_expr(node.right, ring)
+        first, *rest = node.factors
+        value = _eval_expr(first, ring)
+        for factor in rest:
+            value = value * _eval_expr(factor, ring)
+        return value
     if isinstance(node, Pow):
         return _eval_expr(node.base, ring) ** node.exponent
     raise TypeError(f"not an expression node: {node!r}")
@@ -592,9 +589,12 @@ def _bundle_rank(node, k: int, n: int) -> int:
 def _check_expr_size(node, k: int, n: int, outer: int) -> None:
     # runs on every query, so it dispatches on exact node types, commonest first
     kind = type(node)
-    if kind is Mul or kind is Add or kind is Sub:
-        _check_expr_size(node.left, k, n, outer)
-        _check_expr_size(node.right, k, n, outer)
+    if kind is Mul:
+        for factor in node.factors:
+            _check_expr_size(factor, k, n, outer)
+    elif kind is Add:
+        for _, term in node.terms:
+            _check_expr_size(term, k, n, outer)
     elif kind is Pow:
         outer *= max(node.exponent, 1)
         if outer > MAX_EXPONENT:

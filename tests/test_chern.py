@@ -125,7 +125,6 @@ def test_trivial_bundle():
     t = ChernVector.trivial(R25, 4)
     assert t.rank == 4
     assert all(t.c(i) == R25.zero() for i in range(1, 5))
-    assert t.total() == R25.one()
 
 
 def test_dual_is_an_involution():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from curvecount import cli
+from curvecount import cli, evaluate, parse, render
 
 
 def run_cli(capsys, *argv):
@@ -103,10 +103,10 @@ def test_grass_size_cap_exits_one(capsys, query):
     [
         ("(" * 5000 + "sigma[1]" + ")" * 5000 + " in G(2,4)", "syntax error"),
         ("c(1, " + "dual(" * 3000 + "S" + ")" * 3000 + ") in G(2,4)", "syntax error"),
-        # parses with a loop, but the product nests one level per factor
-        ("integrate(" + "*".join(["sigma[1]"] * 3001) + ") in G(2,4)", "evaluation error"),
+        ("-" * 5000 + "1 in G(2,4)", "syntax error"),
+        ("integrate(" * 3000 + "1" + ")" * 3000 + " in G(2,4)", "syntax error"),
     ],
-    ids=["parentheses", "duals", "factors"],
+    ids=["parentheses", "duals", "unary-minuses", "integrates"],
 )
 def test_grass_deep_nesting_exits_one(capsys, query, diagnostic):
     code, out, err = run_cli(capsys, "grass", query)
@@ -114,6 +114,17 @@ def test_grass_deep_nesting_exits_one(capsys, query, diagnostic):
     assert out == ""
     assert err.count("\n") == 1
     assert err.startswith(diagnostic) and err.rstrip().endswith("expression nests too deeply")
+
+
+def test_grass_long_chains_are_not_nesting(capsys):
+    # a product or sum is one node however long it is
+    product = "integrate(" + "*".join(["sigma[1]"] * 3001) + ") in G(2,4)"
+    assert run_cli(capsys, "grass", product) == (0, "0\n", "")
+    assert render(parse(product)) == product
+    assert parse(product) == parse(product) and hash(parse(product)) == hash(parse(product))
+    total = " + ".join(["sigma[1]"] * 3000) + " - sigma[2] in G(2,4)"
+    assert render(parse(total)) == total
+    assert evaluate(total).rendered == "3000*sigma[1] - sigma[2]"
 
 
 def test_count_lines_text(capsys):

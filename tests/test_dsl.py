@@ -21,7 +21,6 @@ from curvecount.dsl import (
     Query,
     Quotient,
     Sigma,
-    Sub,
     Sum,
     Sym,
     Twist,
@@ -50,17 +49,22 @@ def test_parse_bundle_context():
 
 def test_parse_precedence():
     q = parse("sigma[1] + sigma[2]*sigma[1]^2 in G(2,5)")
-    assert q.expr == Add(Sigma((1,)), Mul(Sigma((2,)), Pow(Sigma((1,)), 2)))
+    assert q.expr == Add(((1, Sigma((1,))), (1, Mul((Sigma((2,)), Pow(Sigma((1,)), 2))))))
     q = parse("-sigma[1]^2 in G(2,5)")
     assert q.expr == Neg(Pow(Sigma((1,)), 2))
     q = parse("(sigma[1] - sigma[2])^2 in G(2,5)")
-    assert q.expr == Pow(Sub(Sigma((1,)), Sigma((2,))), 2)
+    assert q.expr == Pow(Add(((1, Sigma((1,))), (-1, Sigma((2,))))), 2)
 
 
 def test_parse_sum_is_left_associative():
     q = parse("1 - 2 - 3 in G(1,2)")
-    assert q.expr == Sub(Sub(IntLit(1), IntLit(2)), IntLit(3))
+    assert q.expr == Add(((1, IntLit(1)), (-1, IntLit(2)), (-1, IntLit(3))))
     assert evaluate(q).value == -4
+    # a parenthesized chain is spliced into a chain of its kind that it leads, and only there
+    assert parse("(1 - 2) - 3 in G(1,2)") == q
+    assert parse("1 - (2 - 3) in G(1,2)").expr == Add(((1, IntLit(1)), (-1, Add(((1, IntLit(2)), (-1, IntLit(3)))))))
+    assert parse("(2*3)*4 in G(1,2)").expr == Mul((IntLit(2), IntLit(3), IntLit(4)))
+    assert parse("(2*3) + 4 in G(1,2)").expr == Add(((1, Mul((IntLit(2), IntLit(3)))), (1, IntLit(4))))
 
 
 def test_parse_twist_with_negative_power():
@@ -205,6 +209,16 @@ def test_render_canonical_spacing():
         render(parse("integrate(c(11, quotient(sym(5,Sdual), twist(sym(3,Sdual), -1)))) in P(sym(2,Sdual)) over G(3,5)"))
         == "integrate(c(11, quotient(sym(5, Sdual), twist(sym(3, Sdual), -1)))) in P(sym(2, Sdual)) over G(3,5)"
     )
+    for text, canonical in [
+        ("sigma[1] - sigma[2]", "sigma[1] - sigma[2]"),
+        ("sigma[1] + -sigma[2]", "sigma[1] + (-sigma[2])"),
+        ("-sigma[1]^2", "-sigma[1]^2"),
+        ("(sigma[1] + sigma[2]) + sigma[1]", "sigma[1] + sigma[2] + sigma[1]"),
+        ("(sigma[1]*sigma[1])*sigma[2]", "sigma[1]*sigma[1]*sigma[2]"),
+        ("sigma[1]*(sigma[1]*sigma[2])", "sigma[1]*(sigma[1]*sigma[2])"),
+        ("sigma[1] - (sigma[1] - sigma[2])", "sigma[1] - (sigma[1] - sigma[2])"),
+    ]:
+        assert render(parse(text + " in G(2,5)")) == canonical + " in G(2,5)"
 
 
 def _random_bundle(rng, depth):
@@ -225,13 +239,17 @@ def _random_bundle(rng, depth):
 def _random_expr(rng, depth):
     if depth <= 0:
         return rng.choice([IntLit(rng.randint(0, 9)), Sigma(tuple(sorted((rng.randint(1, 3) for _ in range(rng.randint(0, 2))), reverse=True))), Zeta()])
-    kind = rng.choice(["add", "sub", "mul", "pow", "neg", "integrate", "chern", "leaf"])
-    if kind == "add":
-        return Add(_random_expr(rng, depth - 1), _random_expr(rng, depth - 1))
-    if kind == "sub":
-        return Sub(_random_expr(rng, depth - 1), _random_expr(rng, depth - 1))
-    if kind == "mul":
-        return Mul(_random_expr(rng, depth - 1), _random_expr(rng, depth - 1))
+    kind = rng.choice(["add", "mul", "pow", "neg", "integrate", "chern", "leaf"])
+    if kind in ("add", "mul"):
+        # a canonical chain: 2 to 4 operands, never led by a chain of its own kind
+        chain = Add if kind == "add" else Mul
+        first = _random_expr(rng, depth - 1)
+        while type(first) is chain:
+            first = _random_expr(rng, depth - 1)
+        rest = [_random_expr(rng, depth - 1) for _ in range(rng.randint(1, 3))]
+        if chain is Mul:
+            return Mul((first, *rest))
+        return Add(((1, first), *((rng.choice([1, -1]), term) for term in rest)))
     if kind == "pow":
         return Pow(_random_expr(rng, depth - 1), rng.randint(0, 4))
     if kind == "neg":

@@ -21,7 +21,6 @@ from curvecount.dsl import (
     Pow,
     Quotient,
     Sigma,
-    Sub,
     Sum,
     Sym,
     Twist,
@@ -54,9 +53,8 @@ RECORDS = [
     (lambda: ChernOf(2, Q), ("index", "bundle"), "ChernOf(index=2, bundle=BundleAtom(name='Q'))"),
     (lambda: IntegrateNode(Zeta()), ("expr",), "IntegrateNode(expr=Zeta())"),
     (lambda: Neg(IntLit(2)), ("expr",), "Neg(expr=IntLit(value=2))"),
-    (lambda: Add(IntLit(1), Zeta()), ("left", "right"), "Add(left=IntLit(value=1), right=Zeta())"),
-    (lambda: Sub(IntLit(1), Zeta()), ("left", "right"), "Sub(left=IntLit(value=1), right=Zeta())"),
-    (lambda: Mul(IntLit(1), Zeta()), ("left", "right"), "Mul(left=IntLit(value=1), right=Zeta())"),
+    (lambda: Add(((1, IntLit(1)), (-1, Zeta()))), ("terms",), "Add(terms=((1, IntLit(value=1)), (-1, Zeta())))"),
+    (lambda: Mul((IntLit(1), Zeta())), ("factors",), "Mul(factors=(IntLit(value=1), Zeta()))"),
     (lambda: Pow(Sigma((1,)), 6), ("base", "exponent"), "Pow(base=Sigma(parts=(1,)), exponent=6)"),
     (lambda: SDUAL, ("name",), "BundleAtom(name='Sdual')"),
     (lambda: Sym(5, SDUAL), ("power", "bundle"), "Sym(power=5, bundle=BundleAtom(name='Sdual'))"),
@@ -115,9 +113,8 @@ def test_record_value_semantics(build, fields, text):
 
 
 @pytest.mark.parametrize("first, second, values", [
-    (Add, Sub, (IntLit(1), Zeta())),
-    (Sub, Mul, (IntLit(1), Zeta())),
-    (Mul, Add, (IntLit(1), Zeta())),
+    (Add, Mul, ((IntLit(1), Zeta()),)),
+    (Mul, Add, (((1, IntLit(1)), (1, Zeta())),)),
     (IntegrateNode, Neg, (Zeta(),)),
     (Dual, Sum, (S,)),
     (ClemensCount, NormalBundleSplit, (1, 2, 3, 4)),
