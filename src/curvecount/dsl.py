@@ -29,8 +29,17 @@ sigma[...] names a Schubert class of the base Grassmannian, zeta the
 hyperplane class of a projective-bundle context, twist(B, p) tensors B
 by the p-th power of O_P(1), and sum(B, ...) is the Whitney sum.  In a
 projective-bundle context a bundle without a twist is computed on the base
-and pulled back once.  Parsing and evaluation never mutate anything;
-errors carry positions and the expected-token set.
+and pulled back once.  Errors carry positions and the expected-token set.
+
+Caches.  Evaluation keeps two bounded least-recently-used caches per
+process: the ring of each context clause, and the Chern vector of each
+whole bundle a query names in each context (a bundle without a twist in
+P(E) is the one of the base, shared by every P(E) over it).  Both are keyed
+by AST nodes; the size caps run before either is read, and a query that
+raises stores nothing.  Parts of a bundle are not cached, and nodes compare
+without recursion, so the caches do not lower how deep a query may nest.
+Sharing them is safe: rings, Chern vectors and nodes are immutable, and
+functools.lru_cache is thread-safe.
 
 Size caps.  Legal queries can ask for more than a process can compute, so
 evaluate() rejects a query past one of these caps with an EvalError before
@@ -51,6 +60,7 @@ says it nests too deeply; the length of a sum or product is not nesting.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from math import comb
 
 from .chern import ChernVector, GrassRing, direct_sum, dual_bundle, sym_power, tensor_line, whitney_quotient
@@ -89,97 +99,127 @@ MAX_EXPONENT = 64
 
 # ---------------------------------------------------------------- AST nodes
 
-class IntLit(_Record):
+class _Node(_Record):
+    """A record of the syntax tree.  Nodes are cache keys (see Caches), so
+    == walks nested nodes and tuples with a list, not with the interpreter's
+    stack: a key nested as deep as the parser allows still compares.  Leaves
+    of different types differ, as True and 1 do, so a hand-built node never
+    finds the entry of its integer twin.  The hash is the tuple hash, which
+    the interpreter computes without frames.
+    """
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return False if isinstance(other, tuple) else NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if len(a) != len(b):
+                return False
+            for x, y in zip(a, b):
+                if x is y:
+                    continue
+                if isinstance(x, _Node):
+                    if type(y) is not type(x):
+                        return False
+                elif not (type(x) is tuple and type(y) is tuple):
+                    if type(y) is not type(x) or x != y:
+                        return False
+                    continue
+                pairs.append((x, y))
+        return True
+
+    __hash__ = _Record.__hash__
+
+
+class IntLit(_Node):
     _fields = ("value",)
 
 
-class Sigma(_Record):
+class Sigma(_Node):
     _fields = ("parts",)
 
 
-class Zeta(_Record):
+class Zeta(_Node):
     pass
 
 
-class ChernOf(_Record):
+class ChernOf(_Node):
     _fields = ("index", "bundle")
 
 
-class IntegrateNode(_Record):
+class IntegrateNode(_Node):
     _fields = ("expr",)
 
 
-class Neg(_Record):
+class Neg(_Node):
     _fields = ("expr",)
 
 
-class Add(_Record):
+class Add(_Node):
     _fields = ("terms",)  # (sign, term) pairs: sign 1 or -1, the first 1
 
 
-class Mul(_Record):
+class Mul(_Node):
     _fields = ("factors",)  # nodes
 
 
-class Pow(_Record):
+class Pow(_Node):
     _fields = ("base", "exponent")
 
 
-class BundleAtom(_Record):
+class BundleAtom(_Node):
     _fields = ("name",)  # name: "S" | "Sdual" | "Q"
 
 
-class Sym(_Record):
+class Sym(_Node):
     _fields = ("power", "bundle")
 
 
-class Dual(_Record):
+class Dual(_Node):
     _fields = ("bundle",)
 
 
-class Twist(_Record):
+class Twist(_Node):
     _fields = ("bundle", "power")
 
 
-class Quotient(_Record):
+class Quotient(_Node):
     _fields = ("numerator", "denominator")
 
 
-class Sum(_Record):
+class Sum(_Node):
     _fields = ("summands",)
 
 
-class GrassContext(_Record):
+class GrassContext(_Node):
     _fields = ("k", "n")
 
 
-class BundleContext(_Record):
+class BundleContext(_Node):
     _fields = ("bundle", "k", "n")
 
 
-class Query(_Record):
+class Query(_Node):
     _fields = ("expr", "context")
 
 
 # ------------------------------------------------------------------- lexer
 
-# an integer, a name or a punctuation mark; the group catches any other
-# non-space character, and whitespace between tokens is never matched
-_TOKEN = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[\[\](),+\-*^]|(\S)")
+# an integer, a name or a punctuation mark; whitespace between tokens is
+# never matched, and any other character is refused before lexing
+_TOKEN = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[\[\](),+\-*^]")
+_BAD_CHAR = re.compile(r"[^0-9A-Za-z_\[\](),+\-*^\s]")
 
 
-def _lex(src: str):
-    """Token texts and their offsets; the empty text marks the end of input."""
-    texts, offsets = [], []
-    for m in _TOKEN.finditer(src):
-        if m.lastindex:
-            line, col = _line_col(src, m.start())
-            raise ParseError(f"unexpected character {m.group()!r}", line, col)
-        texts.append(m.group())
-        offsets.append(m.start())
+def _lex(src: str) -> list:
+    """Token texts; the empty text marks the end of input."""
+    bad = _BAD_CHAR.search(src)
+    if bad:
+        raise ParseError(f"unexpected character {bad.group()!r}", *_line_col(src, bad.start()))
+    texts = _TOKEN.findall(src)
     texts.append("")
-    offsets.append(len(src))
-    return texts, offsets
+    return texts
 
 
 def _line_col(src: str, offset: int):
@@ -193,8 +233,15 @@ class _Parser:
     # is identified by its text alone
     def __init__(self, src: str):
         self.src = src
-        self.texts, self.offsets = _lex(src)
+        self.texts = _lex(src)
         self.pos = 0
+
+    def where(self):
+        """Line and column of the current token.  Only errors need them, so
+        the offsets come from lexing the text again."""
+        offsets = [m.start() for m in _TOKEN.finditer(self.src)]
+        offsets.append(len(self.src))
+        return _line_col(self.src, offsets[self.pos])
 
     def at(self, text: str) -> bool:
         return self.texts[self.pos] == text
@@ -206,9 +253,8 @@ class _Parser:
 
     def fail(self, expected) -> ParseError:
         text = self.texts[self.pos]
-        line, col = _line_col(self.src, self.offsets[self.pos])
         got = repr(text) if text else "end of input"
-        return ParseError(f"unexpected {got}", line, col, expected)
+        return ParseError(f"unexpected {got}", *self.where(), expected)
 
     def eat(self, text: str) -> None:
         if self.texts[self.pos] != text:
@@ -221,7 +267,7 @@ class _Parser:
         try:
             value = int(self.texts[self.pos])
         except ValueError:  # past the interpreter's limit on integer string conversion
-            raise ParseError("integer literal too long", *_line_col(self.src, self.offsets[self.pos])) from None
+            raise ParseError("integer literal too long", *self.where()) from None
         self.pos += 1
         return value
 
@@ -385,7 +431,7 @@ def parse(text: str) -> Query:
     try:
         return parser.query()
     except RecursionError:
-        raise ParseError("expression nests too deeply", *_line_col(text, parser.offsets[parser.pos])) from None
+        raise ParseError("expression nests too deeply", *parser.where()) from None
 
 
 # ---------------------------------------------------------------- renderer
@@ -466,15 +512,22 @@ class EvalResult(_Record):
     _fields = ("kind", "value", "rendered", "context")  # kind: "integer" | "cycle"
 
 
+# sizes of the two caches (see Caches above); their keys are AST records,
+# never rings, whose cycles are unhashable
+_CONTEXT_CACHE_SIZE = 32
+_BUNDLE_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_CONTEXT_CACHE_SIZE)
 def _resolve_context(node):
+    """The ring of a context node: a GrassRing or a ProjBundleRing."""
     try:
         ctx = GrassCtx(node.k, node.n)
     except ValueError as exc:
         raise EvalError(str(exc)) from None
-    base = GrassRing(ctx)
     if isinstance(node, GrassContext):
-        return base
-    bundle = _eval_bundle(node.bundle, base)
+        return GrassRing(ctx)
+    bundle = _eval_bundle(node.bundle, GrassContext(node.k, node.n))
     try:
         return ProjBundleRing(bundle)
     except ValueError as exc:
@@ -491,34 +544,49 @@ def _has_twist(node) -> bool:
     return isinstance(node, (Sym, Dual)) and _has_twist(node.bundle)
 
 
-def _eval_bundle(node, ring) -> ChernVector:
-    if isinstance(ring, ProjBundleRing) and not _has_twist(node):
+@lru_cache(maxsize=_BUNDLE_CACHE_SIZE)
+def _eval_bundle(node, context) -> ChernVector:
+    """The Chern vector of a bundle node on the ring of a context node.
+
+    Only whole bundles are cached; _bundle walks their parts uncached,
+    because a cached call costs twice the stack of a plain one.  The classes
+    may live on a ring equal to, not the same object as, the one
+    _resolve_context returns now: the two caches evict independently.
+    """
+    return _bundle(node, context, _resolve_context(context))
+
+
+def _bundle(node, context, ring) -> ChernVector:
+    if isinstance(context, BundleContext) and not _has_twist(node):
         # pulled back from the base: compute there, with base products
-        return ring.pullback(_eval_bundle(node, ring.base))
+        return ring.pullback(_eval_bundle(node, GrassContext(context.k, context.n)))
     if isinstance(node, BundleAtom):
         which = {"S": "sub", "Sdual": "sub_dual", "Q": "quotient"}[node.name]
         return ring.tautological(which)
     if isinstance(node, Sym):
-        return sym_power(_eval_bundle(node.bundle, ring), node.power)
+        return sym_power(_bundle(node.bundle, context, ring), node.power)
     if isinstance(node, Dual):
-        return dual_bundle(_eval_bundle(node.bundle, ring))
+        return dual_bundle(_bundle(node.bundle, context, ring))
     if isinstance(node, Twist):
         if not isinstance(ring, ProjBundleRing):
             raise EvalError("twist needs a projective-bundle context to supply zeta")
-        return tensor_line(_eval_bundle(node.bundle, ring), node.power * ring.zeta(1))
+        return tensor_line(_bundle(node.bundle, context, ring), node.power * ring.zeta(1))
     if isinstance(node, Quotient):
-        num = _eval_bundle(node.numerator, ring)
-        den = _eval_bundle(node.denominator, ring)
+        num = _bundle(node.numerator, context, ring)
+        den = _bundle(node.denominator, context, ring)
         try:
             return whitney_quotient(num, den)
         except ValueError as exc:
             raise EvalError(str(exc)) from None
     if isinstance(node, Sum):
-        return direct_sum(*(_eval_bundle(b, ring) for b in node.summands))
+        # equal summands, as in sum(sym(3, Sdual), sym(3, Sdual)), are computed once
+        vectors = {b: _bundle(b, context, ring) for b in dict.fromkeys(node.summands)}
+        return direct_sum(*(vectors[b] for b in node.summands))
     raise TypeError(f"not a bundle node: {node!r}")
 
 
-def _eval_expr(node, ring):
+def _eval_expr(node, ring, context):
+    """The value of an expression node on ring, the ring of context."""
     if isinstance(node, IntLit):
         return node.value
     if isinstance(node, Sigma):
@@ -533,32 +601,32 @@ def _eval_expr(node, ring):
             raise EvalError("zeta only exists in a projective-bundle context")
         return ring.zeta(1)
     if isinstance(node, ChernOf):
-        bundle = _eval_bundle(node.bundle, ring)
+        bundle = _eval_bundle(node.bundle, context)
         if not 0 <= node.index <= bundle.rank:
             raise EvalError(f"Chern index {node.index} out of range for rank {bundle.rank}")
         return bundle.c(node.index)
     if isinstance(node, IntegrateNode):
-        inner = _eval_expr(node.expr, ring)
+        inner = _eval_expr(node.expr, ring, context)
         if isinstance(inner, int):
             inner = inner * ring.one()
         return ring.integrate(inner)
     if isinstance(node, Neg):
-        return -_eval_expr(node.expr, ring)
+        return -_eval_expr(node.expr, ring, context)
     if isinstance(node, Add):
         (_, first), *rest = node.terms
-        value = _eval_expr(first, ring)
+        value = _eval_expr(first, ring, context)
         for sign, term in rest:
-            operand = _eval_expr(term, ring)
+            operand = _eval_expr(term, ring, context)
             value = value + operand if sign > 0 else value - operand
         return value
     if isinstance(node, Mul):
         first, *rest = node.factors
-        value = _eval_expr(first, ring)
+        value = _eval_expr(first, ring, context)
         for factor in rest:
-            value = value * _eval_expr(factor, ring)
+            value = value * _eval_expr(factor, ring, context)
         return value
     if isinstance(node, Pow):
-        return _eval_expr(node.base, ring) ** node.exponent
+        return _eval_expr(node.base, ring, context) ** node.exponent
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -632,7 +700,7 @@ def evaluate(query) -> EvalResult:
     try:
         _check_size(query)
         ring = _resolve_context(query.context)
-        value = _eval_expr(query.expr, ring)
+        value = _eval_expr(query.expr, ring, query.context)
     except RecursionError:
         raise EvalError("expression nests too deeply") from None
     context = render_context(query.context)

@@ -99,7 +99,7 @@ def _count(curve: str, ambient_dim: int, degrees: tuple) -> CountReport:
     space = dsl.GrassContext(2, n) if e == 1 else dsl.BundleContext(dsl.Sym(2, sdual), 3, n)
     query = dsl.Query(dsl.IntegrateNode(dsl.ChernOf(rank, bundle)), space)
     # the DSL's evaluator without its size caps: a recipe takes any N
-    count = dsl._eval_expr(query.expr, dsl._resolve_context(query.context))
+    count = dsl._eval_expr(query.expr, dsl._resolve_context(space), space)
     return CountReport(curve, ambient_dim, degrees, dim, rank, count, None, calabi_yau, dsl.render(query))
 
 

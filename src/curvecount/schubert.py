@@ -450,7 +450,8 @@ def _basis_product(ctx: GrassCtx, lam: Partition, mu: Partition):
     c_(j+1), ...; the terms stop at the first c_j < j, and a lam(j) that
     leaves the box is zero.  Each sigma_lam(j) * sigma_mu is a basis product
     with one column fewer, read from ctx._table or computed and stored
-    there, and gets vertical strips of c_j - j boxes, the dual Pieri rule.
+    there (sigma_mu itself when lam(j) is empty, never stored), and gets
+    vertical strips of c_j - j boxes, the dual Pieri rule.
     The factor with the smaller min(rows, columns) is expanded, in the row
     form when it has fewer rows than columns, the column form winning ties.
     The row form is the column form on the transposed (n-k) x k box, so the
@@ -477,10 +478,13 @@ def _basis_product(ctx: GrassCtx, lam: Partition, mu: Partition):
         if shape and shape[0] > rows:
             continue
         sub = shape if transposed else shape.conjugate()
-        key = (sub, mu) if sub <= mu else (mu, sub)
-        prod = table.get(key)
-        if prod is None:
-            prod = table[key] = _basis_product(ctx, *key)
+        if not sub:
+            prod = ((mu, 1),)
+        else:
+            key = (sub, mu) if sub <= mu else (mu, sub)
+            prod = table.get(key)
+            if prod is None:
+                prod = table[key] = _basis_product(ctx, *key)
         sign = -1 if j & 1 else 1
         for nu, c in prod:
             for xi in _vertical_strips(nu.conjugate() if transposed else nu, cj - j, rows, width):

@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 from curvecount.chern import _sym_chern_polys
+from curvecount.dsl import _eval_bundle, _resolve_context
 from curvecount.recipes import (
     _count,
     builtin_ledgers,
@@ -32,6 +33,8 @@ def _cold_caches():
         table.clear()
     _sym_chern_polys.cache_clear()
     _count.cache_clear()
+    _resolve_context.cache_clear()
+    _eval_bundle.cache_clear()
 
 
 def test_criterion_01_quintic_line_count():

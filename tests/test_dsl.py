@@ -183,6 +183,17 @@ def test_syntax_error_positions():
             "syntax error at line 2, column 6: unexpected end of input (expected ')')",
             2, 6, ("')'",),
         ),
+        (
+            # non-ASCII whitespace separates tokens and counts one column
+            "sigma[1]\u3000G(2,4)",
+            "syntax error at line 1, column 10: unexpected 'G' (expected 'in')",
+            1, 10, ("'in'",),
+        ),
+        (
+            "sigma[1]\u3000in\u2003G(2,4) $",
+            "syntax error at line 1, column 20: unexpected character '$'",
+            1, 20, (),
+        ),
     ],
 )
 def test_parse_error_diagnostics(text, diagnostic, line, column, expected):
@@ -305,6 +316,7 @@ def test_size_caps(query, message, monkeypatch):
     def no_work(*args):
         raise AssertionError("work started past a size cap")
 
+    _clear_caches()  # a cached ring would hide a cap checked after the cache is read
     monkeypatch.setattr(dsl, "sym_power", no_work)
     monkeypatch.setattr(dsl, "GrassRing", no_work)
     with pytest.raises(EvalError, match=re.escape(message)):
@@ -323,6 +335,7 @@ def test_size_caps_admit_the_largest_supported_queries():
 def test_untwisted_bundles_are_computed_on_the_base(monkeypatch):
     import curvecount.projbundle as projbundle
 
+    _clear_caches()
     calls = []
     inner = projbundle.pb_multiply
 
@@ -422,3 +435,148 @@ def test_diagnostics_are_printable():
 def test_errors_share_a_base_class():
     assert issubclass(ParseError, dsl.DSLError)
     assert issubclass(EvalError, dsl.DSLError)
+
+
+# ------------------------------------------------------------------ caches
+
+def _clear_caches():
+    dsl._resolve_context.cache_clear()
+    dsl._eval_bundle.cache_clear()
+
+
+def _counting(calls, fn):
+    def count(*args):
+        calls.append(1)
+        return fn(*args)
+
+    return count
+
+
+def test_repeated_bundle_computes_its_symmetric_power_once(monkeypatch):
+    _clear_caches()
+    calls = []
+    monkeypatch.setattr(dsl, "sym_power", _counting(calls, dsl.sym_power))
+    results = {evaluate(f"c({i}, sym(3, Q)) in G(2,5)").rendered for i in (1, 1, 2, 3)}
+    assert len(results) == 3
+    assert len(calls) == 1
+
+
+def test_one_bundle_context_builds_its_ring_once(monkeypatch):
+    _clear_caches()
+    calls = []
+
+    class CountingRing(dsl.ProjBundleRing):
+        def __new__(cls, bundle):
+            calls.append(1)
+            return super().__new__(cls, bundle)
+
+    monkeypatch.setattr(dsl, "ProjBundleRing", CountingRing)
+    queries = [f"integrate(zeta^{j} * sigma[{i}]) in P(sym(2, Sdual)) over G(2,5)" for j in range(4) for i in range(4)]
+    values = [evaluate(q).value for q in queries]
+    _clear_caches()  # later tests must not meet the counting subclass's ring
+    assert len(values) == 16
+    assert len(calls) == 1
+
+
+def test_evaluation_errors_are_not_cached(monkeypatch):
+    _clear_caches()
+    calls = []
+    monkeypatch.setattr(dsl, "whitney_quotient", _counting(calls, dsl.whitney_quotient))
+    messages = []
+    for _ in range(2):
+        with pytest.raises(EvalError) as err:
+            evaluate("c(1, quotient(sym(2, Sdual), Sdual)) in G(2,5)")
+        messages.append(err.value.diagnostic())
+    assert messages[0] == messages[1]
+    assert "not a bundle of rank 1" in messages[0]
+    assert len(calls) == 2
+
+
+def _cache_queries():
+    rng = random.Random(17)
+    contexts = ["G(2,4)", "G(2,5)", "G(3,6)", "P(S) over G(2,4)", "P(Q) over G(2,5)", "P(sym(2, Sdual)) over G(2,4)"]
+    bundles = ["S", "Sdual", "Q", "sym(2, Q)", "sym(3, Sdual)", "dual(sym(2, S))", "twist(S, 1)", "twist(sym(2, Q), -1)",
+               "quotient(sym(2, Sdual), Sdual)", "quotient(sym(3, Sdual), twist(Sdual, -1))", "sum(S, Q)",
+               "sum(sym(2, Sdual), twist(Q, 2))"]
+    queries = []
+    for _ in range(120):
+        ctx = rng.choice(contexts)
+        pe = ctx.startswith("P")
+        bundle = rng.choice(bundles)
+        atom = rng.choice(["zeta", "sigma[1]", "sigma[1,1]"] if pe else ["sigma[1]", "sigma[2]", "sigma[1,1]"])
+        expr = rng.choice([f"c({rng.randint(0, 3)}, {bundle})", f"integrate(c({rng.randint(0, 4)}, {bundle}) * {atom}^6)",
+                           f"c(1, {bundle}) * {atom} - {atom}^2"])
+        queries.append(f"{expr} in {ctx}")
+    return queries
+
+
+def _outcome(query):
+    try:
+        return evaluate(query)
+    except EvalError as err:
+        return err.diagnostic()
+
+
+def test_warm_and_cold_evaluation_agree():
+    queries = _cache_queries()
+    cold = []
+    for q in queries:
+        _clear_caches()
+        cold.append(_outcome(q))
+    warm = [_outcome(q) for q in queries]
+    assert warm == cold
+    assert any(isinstance(r, str) for r in cold) and any(not isinstance(r, str) for r in cold)
+    assert dsl._eval_bundle.cache_info().hits > 0
+
+
+@pytest.mark.parametrize("context", ["G(2,4)", "P(S) over G(2,4)"])
+def test_deep_bundles_evaluate_alike_cold_and_warm(context):
+    # the caches hold whole bundles and compare keys without recursion, so
+    # a cached bundle nests as deep as an uncached one
+    deep = "c(1, " + "dual(" * 800 + "S" + ")" * 800 + f") in {context}"
+    _clear_caches()
+    cold = evaluate(deep)
+    assert evaluate(deep) == cold
+    assert cold == evaluate(f"c(1, S) in {context}")
+
+
+def test_bundles_cached_on_an_evicted_ring_stay_correct():
+    # the bundle cache can outlive the context cache's ring: its classes then
+    # live on an equal ring, not the same object
+    query = "integrate(c(2, twist(sym(2, Sdual), 1)) * zeta^2 * sigma[1]) in P(sym(2, Sdual)) over G(2,4)"
+    _clear_caches()
+    first = evaluate(query)
+    dsl._resolve_context.cache_clear()
+    again = evaluate(query)
+    assert first == again
+
+
+def _raised(query):
+    try:
+        return evaluate(query)
+    except Exception as err:  # a hand-built node can fail outside the DSL's errors
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize(
+    "query, twin",
+    [
+        (Query(Sigma((1,)), GrassContext(True, 4)), Query(Sigma((1,)), GrassContext(1, 4))),
+        (Query(ChernOf(1, Sym(True, BundleAtom("Q"))), GrassContext(2, 5)),
+         Query(ChernOf(1, Sym(1, BundleAtom("Q"))), GrassContext(2, 5))),
+        (Query(ChernOf(1, Sym(2.0, BundleAtom("Q"))), GrassContext(2, 5)),
+         Query(ChernOf(1, Sym(2, BundleAtom("Q"))), GrassContext(2, 5))),
+        (Query(ChernOf(1, Twist(BundleAtom("S"), True)), BundleContext(BundleAtom("S"), 2, 4)),
+         Query(ChernOf(1, Twist(BundleAtom("S"), 1)), BundleContext(BundleAtom("S"), 2, 4))),
+    ],
+    ids=["bool-context", "bool-sym-power", "float-sym-power", "bool-twist-power"],
+)
+def test_hand_built_non_integers_never_find_their_twins_entry(query, twin):
+    # True == 1 and 2.0 == 2 hash alike, but nodes holding them differ
+    assert query != twin and hash(query) == hash(twin)
+    _clear_caches()
+    cold = _raised(query)
+    _clear_caches()
+    evaluate(twin)
+    assert _raised(query) == cold
+    assert cold != evaluate(twin)

@@ -123,3 +123,17 @@ def test_record_value_semantics(build, fields, text):
 def test_records_of_different_types_with_equal_fields_differ(first, second, values):
     x, y = first(*values), second(*values)
     assert x != y and not x == y
+
+
+def test_deeply_nested_nodes_compare_and_hash():
+    # nodes are cache keys: == and hash must not need a frame per level
+    def chain(depth, inner):
+        node = inner
+        for i in range(depth):
+            node = Dual(node) if i % 2 else Sum((node, Q))
+        return node
+
+    a, b = chain(5000, S), chain(5000, S)
+    assert a is not b and a == b and not a != b and hash(a) == hash(b)
+    assert a != chain(5000, Q) and a != chain(4999, S) and a != chain(5001, S)
+    assert Sum((a, S)) != Sum((a,)) and Sum((a, S)) == Sum((b, S))
