@@ -7,8 +7,7 @@ Grammar (LL(1), whitespace insensitive):
     grass    := "G" "(" INT "," INT ")"
     expr     := term { ("+" | "-") term }
     term     := factor { "*" factor }
-    factor   := "-" factor | power
-    power    := atom [ "^" INT ]
+    factor   := "-" factor | atom [ "^" INT ]
     atom     := INT
               | "sigma" "[" [ INT { "," INT } ] "]"
               | "zeta"
@@ -31,15 +30,16 @@ by the p-th power of O_P(1), and sum(B, ...) is the Whitney sum.  In a
 projective-bundle context a bundle without a twist is computed on the base
 and pulled back once.  Errors carry positions and the expected-token set.
 
-Caches.  Evaluation keeps two bounded least-recently-used caches per
-process: the ring of each context clause, and the Chern vector of each
-whole bundle a query names in each context (a bundle without a twist in
-P(E) is the one of the base, shared by every P(E) over it).  Both are keyed
-by AST nodes; the size caps run before either is read, and a query that
-raises stores nothing.  Parts of a bundle are not cached, and nodes compare
-without recursion, so the caches do not lower how deep a query may nest.
-Sharing them is safe: rings, Chern vectors and nodes are immutable, and
-functools.lru_cache is thread-safe.
+Caches.  Evaluation keeps three bounded least-recently-used caches per
+process, keyed by AST nodes; cache_info() on each gives its hit counts:
+_resolve_context holds the ring of each context clause, _eval_bundle the
+Chern vector of each whole bundle a query names in each context (a bundle
+without a twist in P(E) is the one of the base), and _eval_atom each
+sigma[...] atom and each power of one, validated, in each context.  The size
+caps run before any is read, and a query that raises stores nothing.  Parts
+of a bundle are not cached, and nodes compare without recursion, so the
+caches do not lower how deep a query may nest.  Sharing them is safe: rings,
+Chern vectors and nodes are immutable, and functools.lru_cache is thread-safe.
 
 Size caps.  Legal queries can ask for more than a process can compute, so
 evaluate() rejects a query past one of these caps with an EvalError before
@@ -65,7 +65,7 @@ from math import comb
 
 from .chern import ChernVector, GrassRing, direct_sum, dual_bundle, sym_power, tensor_line, whitney_quotient
 from .projbundle import PBElement, ProjBundleRing
-from .schubert import GrassCtx, SchubertCycle, _Record
+from .schubert import GrassCtx, SchubertCycle, _Record, schubert_class
 
 
 class DSLError(Exception):
@@ -204,6 +204,10 @@ class Query(_Node):
     _fields = ("expr", "context")
 
 
+# builds a node without _Record's field count check, for callers that fix it
+_new = tuple.__new__
+
+
 # ------------------------------------------------------------------- lexer
 
 # an integer, a name or a punctuation mark; whitespace between tokens is
@@ -243,14 +247,6 @@ class _Parser:
         offsets.append(len(self.src))
         return _line_col(self.src, offsets[self.pos])
 
-    def at(self, text: str) -> bool:
-        return self.texts[self.pos] == text
-
-    def advance(self) -> str:
-        text = self.texts[self.pos]
-        self.pos += 1
-        return text
-
     def fail(self, expected) -> ParseError:
         text = self.texts[self.pos]
         got = repr(text) if text else "end of input"
@@ -277,16 +273,16 @@ class _Parser:
         expr = self.expr()
         self.eat("in")
         ctx = self.context()
-        if not self.at(""):
+        if self.texts[self.pos]:
             raise self.fail(("end of input",))
         return Query(expr, ctx)
 
     def context(self):
-        if self.at("G"):
+        if self.texts[self.pos] == "G":
             k, n = self.grass()
             return GrassContext(k, n)
-        if self.at("P"):
-            self.advance()
+        if self.texts[self.pos] == "P":
+            self.pos += 1
             self.eat("(")
             bundle = self.bundle()
             self.eat(")")
@@ -309,66 +305,68 @@ class _Parser:
         # own kind is spliced in, so (a + b) + c parses as a + b + c
         first = self.term()
         terms = list(first.terms) if type(first) is Add else [(1, first)]
-        while self.at("+") or self.at("-"):
-            terms.append((1 if self.advance() == "+" else -1, self.term()))
-        return Add(tuple(terms)) if len(terms) > 1 else first
+        while (op := self.texts[self.pos]) == "+" or op == "-":
+            self.pos += 1
+            terms.append((1 if op == "+" else -1, self.term()))
+        return _new(Add, (tuple(terms),)) if len(terms) > 1 else first
 
     def term(self):
         first = self.factor()
         factors = list(first.factors) if type(first) is Mul else [first]
-        while self.at("*"):
-            self.advance()
+        while self.texts[self.pos] == "*":
+            self.pos += 1
             factors.append(self.factor())
-        return Mul(tuple(factors)) if len(factors) > 1 else first
+        return _new(Mul, (tuple(factors),)) if len(factors) > 1 else first
 
     def factor(self):
-        if self.at("-"):
-            self.advance()
-            return Neg(self.factor())
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        if self.at("^"):
-            self.advance()
-            return Pow(node, self.eat_int())
+        # unary minus, or an atom and its power; sigma[...], the commonest
+        # atom, is read here, not in atom
+        texts, pos = self.texts, self.pos
+        if texts[pos] == "-":
+            self.pos = pos + 1
+            return _new(Neg, (self.factor(),))
+        if texts[pos] == "sigma":
+            self.pos = pos + 1
+            self.eat("[")
+            parts = []
+            if texts[self.pos] != "]":
+                parts.append(self.eat_int())
+                while texts[self.pos] == ",":
+                    self.pos += 1
+                    parts.append(self.eat_int())
+                if texts[self.pos] != "]":
+                    raise self.fail(("','", "']'"))
+            node = _new(Sigma, (tuple(parts),))
+            pos = self.pos + 1
+        else:
+            node = self.atom()
+            pos = self.pos
+        if texts[pos] == "^":
+            self.pos = pos + 1
+            return _new(Pow, (node, self.eat_int()))
+        self.pos = pos
         return node
 
     def atom(self):
-        if self.texts[self.pos].isdigit():
-            return IntLit(self.eat_int())
-        if self.at("("):
-            self.advance()
+        text = self.texts[self.pos]
+        if text.isdigit():
+            return _new(IntLit, (self.eat_int(),))
+        if text == "(":
+            self.pos += 1
             node = self.expr()
             self.eat(")")
             return node
-        if self.at("sigma"):
-            self.advance()
-            self.eat("[")
-            parts = []
-            if not self.at("]"):
-                parts.append(self.eat_int())
-                while True:
-                    if self.at(","):
-                        self.advance()
-                        parts.append(self.eat_int())
-                    elif self.at("]"):
-                        break
-                    else:
-                        raise self.fail(("','", "']'"))
-            self.eat("]")
-            return Sigma(tuple(parts))
-        if self.at("zeta"):
-            self.advance()
+        if text == "zeta":
+            self.pos += 1
             return Zeta()
-        if self.at("integrate"):
-            self.advance()
+        if text == "integrate":
+            self.pos += 1
             self.eat("(")
             inner = self.expr()
             self.eat(")")
             return IntegrateNode(inner)
-        if self.at("c"):
-            self.advance()
+        if text == "c":
+            self.pos += 1
             self.eat("(")
             index = self.eat_int()
             self.eat(",")
@@ -378,47 +376,49 @@ class _Parser:
         raise self.fail(("an integer", "'sigma'", "'zeta'", "'integrate'", "'c'", "'('"))
 
     def bundle(self):
-        if self.texts[self.pos] in ("S", "Sdual", "Q"):
-            return BundleAtom(self.advance())
-        if self.at("sym"):
-            self.advance()
+        text = self.texts[self.pos]
+        if text in ("S", "Sdual", "Q"):
+            self.pos += 1
+            return BundleAtom(text)
+        if text == "sym":
+            self.pos += 1
             self.eat("(")
             m = self.eat_int()
             self.eat(",")
             inner = self.bundle()
             self.eat(")")
             return Sym(m, inner)
-        if self.at("dual"):
-            self.advance()
+        if text == "dual":
+            self.pos += 1
             self.eat("(")
             inner = self.bundle()
             self.eat(")")
             return Dual(inner)
-        if self.at("twist"):
-            self.advance()
+        if text == "twist":
+            self.pos += 1
             self.eat("(")
             inner = self.bundle()
             self.eat(",")
-            negative = self.at("-")
+            negative = self.texts[self.pos] == "-"
             if negative:
-                self.advance()
+                self.pos += 1
             p = self.eat_int()
             self.eat(")")
             return Twist(inner, -p if negative else p)
-        if self.at("quotient"):
-            self.advance()
+        if text == "quotient":
+            self.pos += 1
             self.eat("(")
             num = self.bundle()
             self.eat(",")
             den = self.bundle()
             self.eat(")")
             return Quotient(num, den)
-        if self.at("sum"):
-            self.advance()
+        if text == "sum":
+            self.pos += 1
             self.eat("(")
             summands = [self.bundle()]
-            while self.at(","):
-                self.advance()
+            while self.texts[self.pos] == ",":
+                self.pos += 1
                 summands.append(self.bundle())
             self.eat(")")
             return Sum(tuple(summands))
@@ -437,42 +437,40 @@ def parse(text: str) -> Query:
 # ---------------------------------------------------------------- renderer
 
 _LEVEL_ADD, _LEVEL_MUL, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4
-_LEVELS = {Add: _LEVEL_ADD, Neg: _LEVEL_ADD, Mul: _LEVEL_MUL, Pow: _LEVEL_POW}
 
 
 def _render(node, parent_level: int) -> str:
-    level = _LEVELS.get(type(node), _LEVEL_ATOM)
-    if isinstance(node, IntLit):
-        text = str(node.value)
-    elif isinstance(node, Sigma):
-        text = "sigma[" + ",".join(str(p) for p in node.parts) + "]"
-    elif isinstance(node, Zeta):
-        text = "zeta"
-    elif isinstance(node, ChernOf):
-        text = f"c({node.index}, {render_bundle(node.bundle)})"
-    elif isinstance(node, IntegrateNode):
-        text = f"integrate({_render(node.expr, _LEVEL_ADD)})"
-    elif isinstance(node, Neg):
-        # unary minus binds tighter than "*", so anything looser than a
-        # power must be parenthesized to survive a re-parse
-        text = "-" + _render(node.expr, _LEVEL_POW)
-    elif isinstance(node, Add):
-        (_, first), *rest = node.terms
-        text = _render(first, _LEVEL_ADD)
-        for sign, term in rest:
-            text += (" + " if sign > 0 else " - ") + _render(term, _LEVEL_MUL)
-    elif isinstance(node, Mul):
+    # dispatches on exact node types, commonest first; atoms return at once
+    kind = type(node)
+    if kind is Sigma:
+        return "sigma[" + ",".join(map(str, node.parts)) + "]"
+    if kind is Pow:
+        text, level = f"{_render(node.base, _LEVEL_ATOM)}^{node.exponent}", _LEVEL_POW
+    elif kind is Mul:
         first, *rest = node.factors
-        text = _render(first, _LEVEL_MUL)
+        text, level = _render(first, _LEVEL_MUL), _LEVEL_MUL
         for factor in rest:
             text += "*" + _render(factor, _LEVEL_POW)
-    elif isinstance(node, Pow):
-        text = f"{_render(node.base, _LEVEL_ATOM)}^{node.exponent}"
+    elif kind is Add:
+        (_, first), *rest = node.terms
+        text, level = _render(first, _LEVEL_ADD), _LEVEL_ADD
+        for sign, term in rest:
+            text += (" + " if sign > 0 else " - ") + _render(term, _LEVEL_MUL)
+    elif kind is Neg:
+        # unary minus binds tighter than "*", so anything looser than a
+        # power must be parenthesized to survive a re-parse
+        text, level = "-" + _render(node.expr, _LEVEL_POW), _LEVEL_ADD
+    elif kind is IntLit:
+        return str(node.value)
+    elif kind is IntegrateNode:
+        return f"integrate({_render(node.expr, _LEVEL_ADD)})"
+    elif kind is ChernOf:
+        return f"c({node.index}, {render_bundle(node.bundle)})"
+    elif kind is Zeta:
+        return "zeta"
     else:
         raise TypeError(f"not an expression node: {node!r}")
-    if level < parent_level:
-        return f"({text})"
-    return text
+    return f"({text})" if level < parent_level else text
 
 
 def render_bundle(node) -> str:
@@ -501,7 +499,7 @@ def render_context(node) -> str:
 
 def render(node) -> str:
     """Canonical text for an AST; parse(render(parse(s))) == parse(s)."""
-    if isinstance(node, Query):
+    if type(node) is Query:
         return f"{_render(node.expr, _LEVEL_ADD)} in {render_context(node.context)}"
     return _render(node, _LEVEL_ADD)
 
@@ -512,10 +510,11 @@ class EvalResult(_Record):
     _fields = ("kind", "value", "rendered", "context")  # kind: "integer" | "cycle"
 
 
-# sizes of the two caches (see Caches above); their keys are AST records,
+# sizes of the three caches (see Caches above); their keys are AST records,
 # never rings, whose cycles are unhashable
 _CONTEXT_CACHE_SIZE = 32
 _BUNDLE_CACHE_SIZE = 256
+_ATOM_CACHE_SIZE = 512
 
 
 @lru_cache(maxsize=_CONTEXT_CACHE_SIZE)
@@ -585,17 +584,27 @@ def _bundle(node, context, ring) -> ChernVector:
     raise TypeError(f"not a bundle node: {node!r}")
 
 
+@lru_cache(maxsize=_ATOM_CACHE_SIZE)
+def _eval_atom(node, context):
+    """The value of a Sigma node, or of a Pow of one, on the ring of a context
+    node: the validated class or its power on the base, pulled back to P(E)."""
+    ring = _resolve_context(context)
+    base = ring.base if isinstance(ring, ProjBundleRing) else ring
+    sigma = node.base if isinstance(node, Pow) else node
+    try:
+        value = schubert_class(base.ctx, sigma.parts)
+    except ValueError as exc:
+        raise EvalError(str(exc)) from None
+    value = value if sigma is node else value ** node.exponent
+    return value if base is ring else ring.from_base(value)
+
+
 def _eval_expr(node, ring, context):
     """The value of an expression node on ring, the ring of context."""
+    if isinstance(node, Sigma) or isinstance(node, Pow) and isinstance(node.base, Sigma):
+        return _eval_atom(node, context)
     if isinstance(node, IntLit):
         return node.value
-    if isinstance(node, Sigma):
-        base = ring.base if isinstance(ring, ProjBundleRing) else ring
-        try:
-            cycle = base.schubert(node.parts)
-        except ValueError as exc:
-            raise EvalError(str(exc)) from None
-        return ring.from_base(cycle) if isinstance(ring, ProjBundleRing) else cycle
     if isinstance(node, Zeta):
         if not isinstance(ring, ProjBundleRing):
             raise EvalError("zeta only exists in a projective-bundle context")
@@ -630,18 +639,27 @@ def _eval_expr(node, ring, context):
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def _int_leaf(value, what: str) -> int:
+    # the parser makes every number leaf an int; a hand-built node may not
+    if type(value) is not int:
+        raise EvalError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _bundle_rank(node, k: int, n: int) -> int:
     """Rank of a bundle node on G(k, n), checked against the caps."""
     if isinstance(node, BundleAtom):
         rank = n - k if node.name == "Q" else k
     elif isinstance(node, Sym):
-        if node.power < 0:
+        if _int_leaf(node.power, "sym power") < 0:
             raise EvalError("symmetric powers must be nonnegative")
         if node.power > MAX_SYM_POWER:
             raise EvalError(f"sym power {node.power} is above the cap of {MAX_SYM_POWER}")
         r = _bundle_rank(node.bundle, k, n)
         rank = comb(node.power + r - 1, r - 1) if r > 0 else int(node.power == 0)
     elif isinstance(node, (Dual, Twist)):
+        if isinstance(node, Twist):
+            _int_leaf(node.power, "twist power")
         rank = _bundle_rank(node.bundle, k, n)
     elif isinstance(node, Quotient):
         rank = _bundle_rank(node.numerator, k, n) - _bundle_rank(node.denominator, k, n)
@@ -657,21 +675,29 @@ def _bundle_rank(node, k: int, n: int) -> int:
 def _check_expr_size(node, k: int, n: int, outer: int) -> None:
     # runs on every query, so it dispatches on exact node types, commonest first
     kind = type(node)
-    if kind is Mul:
+    if kind is Sigma:
+        if type(node.parts) is not tuple:  # a list would not hash as a cache key
+            raise EvalError(f"sigma parts must be a tuple, got {node.parts!r}")
+    elif kind is Mul:
         for factor in node.factors:
             _check_expr_size(factor, k, n, outer)
     elif kind is Add:
         for _, term in node.terms:
             _check_expr_size(term, k, n, outer)
     elif kind is Pow:
+        if _int_leaf(node.exponent, "exponent") < 0:
+            raise EvalError("exponents must be nonnegative")
         outer *= max(node.exponent, 1)
         if outer > MAX_EXPONENT:
             raise EvalError(f"exponent {outer}, counting enclosing powers, is above the cap of {MAX_EXPONENT}")
         _check_expr_size(node.base, k, n, outer)
     elif kind is ChernOf:
+        _int_leaf(node.index, "Chern index")
         _bundle_rank(node.bundle, k, n)
     elif kind is Neg or kind is IntegrateNode:
         _check_expr_size(node.expr, k, n, outer)
+    elif kind is IntLit:
+        _int_leaf(node.value, "integer literal")
 
 
 def _check_size(query: Query) -> None:

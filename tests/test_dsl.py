@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 
 import pytest
 
@@ -179,6 +180,37 @@ def test_syntax_error_positions():
             1, 9, ("','", "']'"),
         ),
         (
+            "sigma in G(2,4)",
+            "syntax error at line 1, column 7: unexpected 'in' (expected '[')",
+            1, 7, ("'['",),
+        ),
+        (
+            "sigma[ in G(2,4)",
+            "syntax error at line 1, column 8: unexpected 'in' (expected an integer)",
+            1, 8, ("an integer",),
+        ),
+        (
+            "sigma[1,] in G(2,4)",
+            "syntax error at line 1, column 9: unexpected ']' (expected an integer)",
+            1, 9, ("an integer",),
+        ),
+        (
+            "sigma[x] in G(2,4)",
+            "syntax error at line 1, column 7: unexpected 'x' (expected an integer)",
+            1, 7, ("an integer",),
+        ),
+        (
+            "sigma[1",
+            "syntax error at line 1, column 8: unexpected end of input (expected ',' or ']')",
+            1, 8, ("','", "']'"),
+        ),
+        (
+            # past the interpreter's limit on integer string conversion
+            "sigma[2," + "1" * 5000 + "] in G(2,4)",
+            "syntax error at line 1, column 9: integer literal too long",
+            1, 9, (),
+        ),
+        (
             "sigma[1] in\nG(2,4",
             "syntax error at line 2, column 6: unexpected end of input (expected ')')",
             2, 6, ("')'",),
@@ -230,6 +262,51 @@ def test_render_canonical_spacing():
         ("sigma[1] - (sigma[1] - sigma[2])", "sigma[1] - (sigma[1] - sigma[2])"),
     ]:
         assert render(parse(text + " in G(2,5)")) == canonical + " in G(2,5)"
+
+
+# each node kind in each parent position: top level, first and later term of
+# a sum, first and later factor of a product, base of a power, under unary
+# minus, inside integrate
+_PARENTS = [
+    lambda x: x,
+    lambda x: Add(((1, x), (1, Zeta()))),
+    lambda x: Add(((1, Zeta()), (-1, x))),
+    lambda x: Mul((x, Zeta())),
+    lambda x: Mul((Zeta(), x)),
+    lambda x: Pow(x, 3),
+    Neg,
+    IntegrateNode,
+]
+
+
+@pytest.mark.parametrize(
+    "node, pinned",
+    [
+        (IntLit(2), "2 | 2 + zeta | zeta - 2 | 2*zeta | zeta*2 | 2^3 | -2 | integrate(2)"),
+        (Sigma((2, 1)), "sigma[2,1] | sigma[2,1] + zeta | zeta - sigma[2,1] | sigma[2,1]*zeta | zeta*sigma[2,1] | "
+                        "sigma[2,1]^3 | -sigma[2,1] | integrate(sigma[2,1])"),
+        (Zeta(), "zeta | zeta + zeta | zeta - zeta | zeta*zeta | zeta*zeta | zeta^3 | -zeta | integrate(zeta)"),
+        (ChernOf(1, BundleAtom("S")), "c(1, S) | c(1, S) + zeta | zeta - c(1, S) | c(1, S)*zeta | zeta*c(1, S) | "
+                                      "c(1, S)^3 | -c(1, S) | integrate(c(1, S))"),
+        (IntegrateNode(Zeta()), "integrate(zeta) | integrate(zeta) + zeta | zeta - integrate(zeta) | "
+                                "integrate(zeta)*zeta | zeta*integrate(zeta) | integrate(zeta)^3 | "
+                                "-integrate(zeta) | integrate(integrate(zeta))"),
+        (Neg(Sigma((1,))), "-sigma[1] | -sigma[1] + zeta | zeta - (-sigma[1]) | (-sigma[1])*zeta | "
+                           "zeta*(-sigma[1]) | (-sigma[1])^3 | -(-sigma[1]) | integrate(-sigma[1])"),
+        (Add(((1, Sigma((1,))), (-1, IntLit(2)))),
+         "sigma[1] - 2 | sigma[1] - 2 + zeta | zeta - (sigma[1] - 2) | (sigma[1] - 2)*zeta | "
+         "zeta*(sigma[1] - 2) | (sigma[1] - 2)^3 | -(sigma[1] - 2) | integrate(sigma[1] - 2)"),
+        (Mul((IntLit(2), Sigma((1,)))), "2*sigma[1] | 2*sigma[1] + zeta | zeta - 2*sigma[1] | 2*sigma[1]*zeta | "
+                                        "zeta*(2*sigma[1]) | (2*sigma[1])^3 | -(2*sigma[1]) | integrate(2*sigma[1])"),
+        (Pow(Sigma((1,)), 2), "sigma[1]^2 | sigma[1]^2 + zeta | zeta - sigma[1]^2 | sigma[1]^2*zeta | "
+                              "zeta*sigma[1]^2 | (sigma[1]^2)^3 | -sigma[1]^2 | integrate(sigma[1]^2)"),
+    ],
+)
+def test_render_pins_every_node_kind_in_every_parent_position(node, pinned):
+    texts = [render(parent(node)) for parent in _PARENTS]
+    assert " | ".join(texts) == pinned
+    for text in texts:  # each rendering is canonical: it renders back unchanged
+        assert render(parse(text + " in G(2,4)")) == text + " in G(2,4)"
 
 
 def _random_bundle(rng, depth):
@@ -442,6 +519,7 @@ def test_errors_share_a_base_class():
 def _clear_caches():
     dsl._resolve_context.cache_clear()
     dsl._eval_bundle.cache_clear()
+    dsl._eval_atom.cache_clear()
 
 
 def _counting(calls, fn):
@@ -568,8 +646,9 @@ def _raised(query):
          Query(ChernOf(1, Sym(2, BundleAtom("Q"))), GrassContext(2, 5))),
         (Query(ChernOf(1, Twist(BundleAtom("S"), True)), BundleContext(BundleAtom("S"), 2, 4)),
          Query(ChernOf(1, Twist(BundleAtom("S"), 1)), BundleContext(BundleAtom("S"), 2, 4))),
+        (Query(Sigma((True,)), GrassContext(2, 4)), Query(Sigma((1,)), GrassContext(2, 4))),
     ],
-    ids=["bool-context", "bool-sym-power", "float-sym-power", "bool-twist-power"],
+    ids=["bool-context", "bool-sym-power", "float-sym-power", "bool-twist-power", "bool-sigma-part"],
 )
 def test_hand_built_non_integers_never_find_their_twins_entry(query, twin):
     # True == 1 and 2.0 == 2 hash alike, but nodes holding them differ
@@ -580,3 +659,100 @@ def test_hand_built_non_integers_never_find_their_twins_entry(query, twin):
     evaluate(twin)
     assert _raised(query) == cold
     assert cold != evaluate(twin)
+
+
+@pytest.mark.parametrize(
+    "expr, context, message",
+    [
+        (ChernOf(True, BundleAtom("S")), GrassContext(2, 4), "Chern index must be an integer, got True"),
+        (ChernOf(1.0, BundleAtom("S")), GrassContext(2, 4), "Chern index must be an integer, got 1.0"),
+        (Pow(Sigma((1,)), True), GrassContext(2, 4), "exponent must be an integer, got True"),
+        (Pow(Sigma((1,)), -1), GrassContext(2, 4), "exponents must be nonnegative"),
+        (ChernOf(1, Sym(True, BundleAtom("S"))), GrassContext(2, 4), "sym power must be an integer, got True"),
+        (ChernOf(1, Twist(BundleAtom("S"), True)), BundleContext(BundleAtom("S"), 2, 4),
+         "twist power must be an integer, got True"),
+        (Zeta(), BundleContext(Twist(BundleAtom("S"), 1.0), 2, 4), "twist power must be an integer, got 1.0"),
+        (IntLit(True), GrassContext(2, 4), "integer literal must be an integer, got True"),
+        (IntLit(2.0), GrassContext(2, 4), "integer literal must be an integer, got 2.0"),
+        (Sigma([1]), GrassContext(2, 4), "sigma parts must be a tuple, got [1]"),
+    ],
+)
+def test_hand_built_leaves_that_are_not_ints_are_eval_errors(expr, context, message):
+    # the parser makes every number an int; a hand-built node is checked
+    # with the size caps, before any cache is read
+    _clear_caches()
+    with pytest.raises(EvalError) as err:
+        evaluate(Query(expr, context))
+    assert err.value.args[0] == message
+
+
+def _counting_partitions(monkeypatch):
+    from curvecount import schubert
+
+    calls = []
+    inner = schubert.Partition.__new__
+
+    def counting(cls, parts=()):
+        calls.append(parts)
+        return inner(cls, parts)
+
+    monkeypatch.setattr(schubert.Partition, "__new__", counting)
+    return calls
+
+
+def test_a_warm_sigma_query_validates_no_partition(monkeypatch):
+    _clear_caches()
+    query = "sigma[2,1]*sigma[1]^2 - sigma[3] in G(2,6)"
+    first = evaluate(query)
+    calls = _counting_partitions(monkeypatch)
+    assert evaluate(query) == first
+    assert calls == []
+    assert dsl._eval_atom.cache_info().hits == 3
+
+
+def test_an_out_of_box_atom_raises_the_same_error_every_time(monkeypatch):
+    _clear_caches()
+    calls = _counting_partitions(monkeypatch)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(EvalError) as err:
+            evaluate("sigma[3] in G(2,4)")
+        messages.append(err.value.diagnostic())
+    assert messages == ["evaluation error: partition (3,) does not fit the box of G(2,4)"] * 2
+    assert len(calls) == 2  # errors are not cached: each query validates again
+    assert dsl._eval_atom.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("bundle", ["S", "Q", "sym(2, Sdual)"])
+def test_atoms_in_a_bundle_context_come_back_pulled_back(bundle):
+    _clear_caches()
+    context = parse(f"zeta in P({bundle}) over G(2,4)").context
+    ring = dsl._resolve_context(context)
+    sigma = ring.from_base(ring.base.schubert((1,)))
+    for _ in range(2):  # cold, then from the cache
+        assert evaluate(f"sigma[1] in P({bundle}) over G(2,4)").value == sigma
+        # a power is taken on the base and then pulled back
+        assert evaluate(f"sigma[1]^3 in P({bundle}) over G(2,4)").value == sigma * sigma * sigma
+        assert evaluate(f"sigma[1]^0 in P({bundle}) over G(2,4)").value == ring.one()
+    assert evaluate("sigma[1] in G(2,4)").value == ring.base.schubert((1,))
+
+
+def test_a_power_chain_nested_to_the_parsers_limit_evaluates():
+    # every level is a Pow of a Pow; only the innermost, a Pow of a Sigma,
+    # goes through the atom cache, which adds no frame per level
+    def chain(depth):
+        return "(" * depth + "sigma[1]" + ")^1" * depth + " in G(2,4)"
+
+    lo, hi = 1, sys.getrecursionlimit()
+    while lo < hi:  # the deepest chain the parser takes
+        mid = (lo + hi + 1) // 2
+        try:
+            parse(chain(mid))
+            lo = mid
+        except ParseError:
+            hi = mid - 1
+    assert lo > 100
+    expected = evaluate("sigma[1] in G(2,4)")
+    _clear_caches()
+    assert evaluate(parse(chain(lo))) == expected
+    assert evaluate(parse(chain(lo))) == expected

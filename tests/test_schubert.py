@@ -223,8 +223,12 @@ def test_every_entry_reports_an_out_of_box_partition_alike(entry):
 
 def test_each_entering_partition_is_validated_once(monkeypatch):
     import curvecount.schubert as schubert
+    from curvecount import dsl
     from curvecount.dsl import evaluate
 
+    # a cached atom is not validated again, so the DSL starts cold
+    for cache in (dsl._resolve_context, dsl._eval_bundle, dsl._eval_atom):
+        cache.cache_clear()
     calls = []
     inner = schubert.Partition.__new__
 
