@@ -649,6 +649,8 @@ def _int_leaf(value, what: str) -> int:
 def _bundle_rank(node, k: int, n: int) -> int:
     """Rank of a bundle node on G(k, n), checked against the caps."""
     if isinstance(node, BundleAtom):
+        if node.name not in ("S", "Sdual", "Q"):
+            raise EvalError(f"unknown bundle {node.name!r}")
         rank = n - k if node.name == "Q" else k
     elif isinstance(node, Sym):
         if _int_leaf(node.power, "sym power") < 0:
@@ -664,6 +666,8 @@ def _bundle_rank(node, k: int, n: int) -> int:
     elif isinstance(node, Quotient):
         rank = _bundle_rank(node.numerator, k, n) - _bundle_rank(node.denominator, k, n)
     elif isinstance(node, Sum):
+        if type(node.summands) is not tuple or not node.summands:  # a list would not hash as a cache key
+            raise EvalError(f"sum summands must be a nonempty tuple, got {node.summands!r}")
         rank = sum(_bundle_rank(b, k, n) for b in node.summands)
     else:
         raise TypeError(f"not a bundle node: {node!r}")

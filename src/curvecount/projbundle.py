@@ -13,7 +13,7 @@ pairs (partition, coefficient) of sigma_partition * zeta^j.  Elements store
 flat terms, (j, partition) -> nonzero int, on the element core they share
 with SchubertCycle, and derive their base-cycle coefficients b_0, ...,
 b_(r-1) (`coeffs`) on each read.  pb_multiply convolves the term pairs of
-both factors through the base's product table into one dict per power of
+both factors through the product table into one dict per power of
 zeta, then rewrites the powers r..2r-2, highest first, through the
 relation, one group of its terms per target power.  Elements stay in that
 canonical form, so the pushforward along the projection is the
@@ -24,7 +24,7 @@ the relation and is exercised by the test suite.
 from __future__ import annotations
 
 from .chern import ChernVector, GrassRing
-from .schubert import _EMPTY, SchubertCycle, _basis_order, _basis_product, _Element, _is_int, _Record
+from .schubert import _EMPTY, _PRODUCTS, SchubertCycle, _basis_order, _Element, _is_int, _Record
 
 
 class ProjBundleRing(_Record):
@@ -170,7 +170,7 @@ def pb_multiply(x: PBElement, y: PBElement) -> PBElement:
     """Product in the Chow ring of P(E), computed on the flat terms.
 
     Each pair of terms sigma_lam zeta^i of x and sigma_mu zeta^j of y adds
-    a * b * sigma_lam * sigma_mu, read from the base's product table, to the
+    a * b * sigma_lam * sigma_mu, read from the product table, to the
     slot of zeta^(i+j): one dict partition -> int per power 0..2r-2.  Each
     term of a power r..2r-2, highest power first, is then rewritten through
     the relation, one slot per group of its terms, and the slots below r are
@@ -180,18 +180,13 @@ def pb_multiply(x: PBElement, y: PBElement) -> PBElement:
     if y._space is not ring and y._space != ring:
         raise ValueError("elements live on different projective bundles")
     r = ring.fiber_rank
-    ctx = ring.base.ctx
-    table = ctx._table
+    k, n = ring.base.ctx
     slots = [{} for _ in range(2 * r - 1)]
     for (i, lam), a in x._terms.items():
         for (j, mu), b in y._terms.items():
-            key = (lam, mu) if lam <= mu else (mu, lam)
-            prod = table.get(key)
-            if prod is None:
-                prod = table[key] = _basis_product(ctx, *key)
             slot = slots[i + j]
             ab = a * b
-            for nu, c in prod:
+            for nu, c in _PRODUCTS[(k, n, lam, mu) if lam <= mu else (k, n, mu, lam)]:
                 slot[nu] = slot.get(nu, 0) + ab * c
     for power in range(2 * r - 2, r - 1, -1):
         for lam, a in slots[power].items():
@@ -200,12 +195,8 @@ def pb_multiply(x: PBElement, y: PBElement) -> PBElement:
             for j, group in ring._relation:
                 slot = slots[power - r + j]
                 for mu, b in group:
-                    key = (lam, mu) if lam <= mu else (mu, lam)
-                    prod = table.get(key)
-                    if prod is None:
-                        prod = table[key] = _basis_product(ctx, *key)
                     ab = a * b
-                    for nu, c in prod:
+                    for nu, c in _PRODUCTS[(k, n, lam, mu) if lam <= mu else (k, n, mu, lam)]:
                         slot[nu] = slot.get(nu, 0) + ab * c
     return PBElement._trusted(ring, {(j, nu): c for j in range(r) for nu, c in slots[j].items() if c})
 

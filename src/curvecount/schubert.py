@@ -24,13 +24,13 @@ conjugates, tautological classes and arithmetic results are built trusted.
 That element core is shared with the projective-bundle ring.
 
 Everything here is immutable; operations return new values.  The
-structure constants of basis pairs are cached in one product table per
-Grassmannian: a dict from a sorted partition pair (lam, mu) to the tuple of
-((nu, coeff), ...) terms of sigma_lam * sigma_mu, shared by every GrassCtx
-equal to the one that filled it and read by both multiply and the
-projective-bundle product.  Sharing it across threads is safe: an entry is
-never changed once stored, and two threads that miss on the same pair only
-store the same tuple twice.
+structure constants of basis pairs live in one product table, _PRODUCTS,
+for every Grassmannian: a dict from (k, n, lam, mu), lam <= mu, to the tuple
+of ((nu, coeff), ...) terms of sigma_lam * sigma_mu on G(k, n), read by both
+multiply and the projective-bundle product.  It fills itself: a missing key
+is computed by __missing__ and stored.  Sharing it across threads is safe:
+an entry is never changed once stored, and two threads that miss on the
+same key only store the same tuple twice.
 """
 
 from __future__ import annotations
@@ -100,10 +100,6 @@ def _basis_order(lam: Partition) -> tuple:
     return (lam.weight, tuple(-p for p in lam))
 
 
-# (k, n) -> the product table of G(k, n); see the module docstring
-_TABLES: dict = {}
-
-
 class _Record(tuple):
     """Immutable record with named fields, the base of the package's value
     types; a subclass names its fields in _fields.  Records of different
@@ -144,11 +140,7 @@ class _Record(tuple):
 
 
 class GrassCtx(_Record):
-    """The Grassmannian G(k, n) of k-dimensional subspaces of C^n.
-
-    _table, not a field, is the product table of G(k, n), the same dict for
-    every equal context.
-    """
+    """The Grassmannian G(k, n) of k-dimensional subspaces of C^n."""
 
     _fields = ("k", "n")
 
@@ -157,13 +149,7 @@ class GrassCtx(_Record):
             raise ValueError("k and n must be integers")
         if not 0 < k < n:
             raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
-        self = tuple.__new__(cls, (k, n))
-        object.__setattr__(self, "_table", _TABLES.setdefault((k, n), {}))
-        return self
-
-    def __reduce__(self):
-        # rebuild through __new__, so that a copy shares the table
-        return GrassCtx, (self.k, self.n)
+        return tuple.__new__(cls, (k, n))
 
     @property
     def dim(self) -> int:
@@ -441,57 +427,62 @@ def pieri(lam, a: int, ctx: GrassCtx) -> SchubertCycle:
     return SchubertCycle._trusted(ctx, {mu.conjugate(): 1 for mu in _vertical_strips(lam.conjugate(), a, ctx.width, ctx.k)})
 
 
-def _basis_product(ctx: GrassCtx, lam: Partition, mu: Partition):
-    """Structure constants of sigma_lam * sigma_mu as ((nu, coeff), ...).
+class _ProductTable(dict):
+    """The type of _PRODUCTS, the product table; see the module docstring."""
 
-    One step of the column Giambelli determinant along its first column:
-    with c the columns of lam, sigma_lam = sum_j (-1)^j sigma_(1^(c_j - j))
-    sigma_lam(j), where lam(j) has the columns c_0+1, ..., c_(j-1)+1,
-    c_(j+1), ...; the terms stop at the first c_j < j, and a lam(j) that
-    leaves the box is zero.  Each sigma_lam(j) * sigma_mu is a basis product
-    with one column fewer, read from ctx._table or computed and stored
-    there (sigma_mu itself when lam(j) is empty, never stored), and gets
-    vertical strips of c_j - j boxes, the dual Pieri rule.
-    The factor with the smaller min(rows, columns) is expanded, in the row
-    form when it has fewer rows than columns, the column form winning ties.
-    The row form is the column form on the transposed (n-k) x k box, so the
-    sub-products' terms go in conjugated and the result comes out
-    conjugated.
-    """
-    if not lam:
-        return ((mu, 1),)
-    if not mu:
-        return ((lam, 1),)
-    if (min(len(mu), mu[0]), len(mu) < mu[0]) < (min(len(lam), lam[0]), len(lam) < lam[0]):
-        lam, mu = mu, lam
-    transposed = len(lam) < lam[0]
-    if transposed:
-        cols, rows, width = lam, ctx.width, ctx.k
-    else:
-        cols, rows, width = lam.conjugate(), ctx.k, ctx.width
-    table = ctx._table
-    acc = {}
-    for j, cj in enumerate(cols):
-        if cj < j:
-            break
-        shape = tuple.__new__(Partition, [c + 1 for c in cols[:j]] + list(cols[j + 1:]))
-        if shape and shape[0] > rows:
-            continue
-        sub = shape if transposed else shape.conjugate()
-        if not sub:
-            prod = ((mu, 1),)
+    __slots__ = ()
+
+    def __missing__(self, key):
+        """Compute, store and return the terms of sigma_lam * sigma_mu on G(k, n).
+
+        One step of the column Giambelli determinant along its first column:
+        with c the columns of lam, sigma_lam = sum_j (-1)^j sigma_(1^(c_j - j))
+        sigma_lam(j), where lam(j) has the columns c_0+1, ..., c_(j-1)+1,
+        c_(j+1), ...; the terms stop at the first c_j < j, and a lam(j) that
+        leaves the box is zero.  Each sigma_lam(j) * sigma_mu is a basis
+        product with one column fewer, read from this table (sigma_mu itself
+        when lam(j) is empty, never stored), and gets vertical strips of
+        c_j - j boxes, the dual Pieri rule.
+        The factor with the smaller min(rows, columns) is expanded, in the row
+        form when it has fewer rows than columns, the column form winning
+        ties.  The row form is the column form on the transposed (n-k) x k
+        box, so the sub-products' terms go in conjugated and the result comes
+        out conjugated.
+        """
+        k, n, lam, mu = key
+        if not lam:  # lam <= mu, so mu is empty only when lam is
+            self[key] = out = ((mu, 1),)
+            return out
+        if (min(len(mu), mu[0]), len(mu) < mu[0]) < (min(len(lam), lam[0]), len(lam) < lam[0]):
+            lam, mu = mu, lam
+        transposed = len(lam) < lam[0]
+        if transposed:
+            cols, rows, width = lam, n - k, k
         else:
-            key = (sub, mu) if sub <= mu else (mu, sub)
-            prod = table.get(key)
-            if prod is None:
-                prod = table[key] = _basis_product(ctx, *key)
-        sign = -1 if j & 1 else 1
-        for nu, c in prod:
-            for xi in _vertical_strips(nu.conjugate() if transposed else nu, cj - j, rows, width):
-                acc[xi] = acc.get(xi, 0) + sign * c
-    if transposed:
-        acc = {nu.conjugate(): c for nu, c in acc.items()}
-    return tuple(sorted(((nu, c) for nu, c in acc.items() if c), key=lambda kv: _basis_order(kv[0])))
+            cols, rows, width = lam.conjugate(), k, n - k
+        acc = {}
+        for j, cj in enumerate(cols):
+            if cj < j:
+                break
+            shape = tuple.__new__(Partition, [c + 1 for c in cols[:j]] + list(cols[j + 1:]))
+            if shape and shape[0] > rows:
+                continue
+            sub = shape if transposed else shape.conjugate()
+            if not sub:
+                prod = ((mu, 1),)
+            else:
+                prod = self[(k, n, sub, mu) if sub <= mu else (k, n, mu, sub)]
+            sign = -1 if j & 1 else 1
+            for nu, c in prod:
+                for xi in _vertical_strips(nu.conjugate() if transposed else nu, cj - j, rows, width):
+                    acc[xi] = acc.get(xi, 0) + sign * c
+        if transposed:
+            acc = {nu.conjugate(): c for nu, c in acc.items()}
+        self[key] = out = tuple(sorted(((nu, c) for nu, c in acc.items() if c), key=lambda kv: _basis_order(kv[0])))
+        return out
+
+
+_PRODUCTS = _ProductTable()
 
 
 def multiply(x: SchubertCycle, y: SchubertCycle) -> SchubertCycle:
@@ -499,16 +490,12 @@ def multiply(x: SchubertCycle, y: SchubertCycle) -> SchubertCycle:
     ctx = x._space
     if y._space is not ctx and y._space != ctx:
         raise ValueError("cycles live on different Grassmannians")
-    table = ctx._table
+    k, n = ctx
     out = {}
     for lam, a in x._terms.items():
         for mu, b in y._terms.items():
-            key = (lam, mu) if lam <= mu else (mu, lam)
-            prod = table.get(key)
-            if prod is None:
-                prod = table[key] = _basis_product(ctx, *key)
             ab = a * b
-            for nu, c in prod:
+            for nu, c in _PRODUCTS[(k, n, lam, mu) if lam <= mu else (k, n, mu, lam)]:
                 out[nu] = out.get(nu, 0) + ab * c
     return SchubertCycle._trusted(ctx, {nu: c for nu, c in out.items() if c})
 

@@ -24,13 +24,12 @@ from curvecount.recipes import (
     normal_bundle_classify,
     reference_counts,
 )
-from curvecount.schubert import _TABLES, GrassCtx, integrate, schubert_class
+from curvecount.schubert import _PRODUCTS, GrassCtx, integrate, schubert_class
 from curvecount.suites import _small_contexts, run_suite
 
 
 def _cold_caches():
-    for table in _TABLES.values():
-        table.clear()
+    _PRODUCTS.clear()
     _sym_chern_polys.cache_clear()
     _count.cache_clear()
     _resolve_context.cache_clear()

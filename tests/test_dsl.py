@@ -675,11 +675,18 @@ def test_hand_built_non_integers_never_find_their_twins_entry(query, twin):
         (IntLit(True), GrassContext(2, 4), "integer literal must be an integer, got True"),
         (IntLit(2.0), GrassContext(2, 4), "integer literal must be an integer, got 2.0"),
         (Sigma([1]), GrassContext(2, 4), "sigma parts must be a tuple, got [1]"),
+        (ChernOf(1, Sum([BundleAtom("S"), BundleAtom("S")])), GrassContext(2, 4),
+         "sum summands must be a nonempty tuple, got [BundleAtom(name='S'), BundleAtom(name='S')]"),
+        (ChernOf(1, Sum(())), GrassContext(2, 4), "sum summands must be a nonempty tuple, got ()"),
+        (Zeta(), BundleContext(Sum(()), 2, 4), "sum summands must be a nonempty tuple, got ()"),
+        (ChernOf(1, BundleAtom("T")), GrassContext(2, 4), "unknown bundle 'T'"),
+        (Zeta(), BundleContext(BundleAtom("T"), 2, 4), "unknown bundle 'T'"),
     ],
 )
 def test_hand_built_leaves_that_are_not_ints_are_eval_errors(expr, context, message):
-    # the parser makes every number an int; a hand-built node is checked
-    # with the size caps, before any cache is read
+    # the parser makes every number an int, every sum a nonempty tuple and
+    # every bundle name known; a hand-built node is checked with the size
+    # caps, before any cache is read
     _clear_caches()
     with pytest.raises(EvalError) as err:
         evaluate(Query(expr, context))

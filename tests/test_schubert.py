@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from curvecount.schubert import (
+    _PRODUCTS,
     GrassCtx,
     Partition,
     SchubertCycle,
@@ -367,10 +368,11 @@ def test_every_basis_product_is_pinned():
 def test_every_stored_sub_product_is_correct():
     # a basis product stores the smaller products its expansion reads
     ctx = GrassCtx(4, 9)
-    ctx._table.clear()
+    _PRODUCTS.clear()
     multiply(schubert_class(ctx, (3, 2, 2, 1)), schubert_class(ctx, (4, 3, 1)))
-    assert (Partition((3, 2, 2, 1)), Partition((4, 3, 1))) in ctx._table
-    for (lam, mu), prod in ctx._table.items():
+    assert (4, 9, Partition((3, 2, 2, 1)), Partition((4, 3, 1))) in _PRODUCTS
+    for (k, n, lam, mu), prod in _PRODUCTS.items():
+        assert (k, n) == (4, 9)
         assert SchubertCycle(ctx, dict(prod)) == multiply_lr(schubert_class(ctx, lam), schubert_class(ctx, mu))
 
 
@@ -500,23 +502,27 @@ def test_products_dispatch_through_module_multiply(monkeypatch):
 def test_equal_contexts_share_one_product_table():
     a, b = GrassCtx(3, 5), GrassCtx(3, 5)
     assert a is not b and a == b
-    assert a._table is b._table
-    assert copy.deepcopy(a)._table is a._table
-    assert pickle.loads(pickle.dumps(a))._table is a._table
-    assert GrassCtx(2, 5)._table is not a._table
-    # a product on one context is a table entry for the other
     s1, s2 = Partition((1,)), Partition((2, 1))
-    a._table.pop((s1, s2), None)
+    _PRODUCTS.pop((3, 5, s1, s2), None)
     product = multiply(schubert_class(a, s1), schubert_class(a, s2))
-    assert dict(b._table[(s1, s2)]) == product.terms
-    assert multiply(schubert_class(b, s2), schubert_class(a, s1)) == product
+    assert dict(_PRODUCTS[(3, 5, s1, s2)]) == product.terms
+    # a product on one context is a table entry for every equal one
+    size = len(_PRODUCTS)
+    for twin in (b, copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert twin == a
+        assert multiply(schubert_class(twin, s2), schubert_class(twin, s1)) == product
+    assert len(_PRODUCTS) == size
+    # and only for an equal one
+    _PRODUCTS.pop((2, 5, s1, s2), None)
+    multiply(schubert_class(GrassCtx(2, 5), s1), schubert_class(GrassCtx(2, 5), s2))
+    assert (2, 5, s1, s2) in _PRODUCTS
 
 
 def test_lr_product_never_touches_the_product_table():
     ctx = GrassCtx(3, 9)
     x = schubert_class(ctx, (2, 1)) + schubert_class(ctx, (3,))
     y = schubert_class(ctx, (2, 2, 1)) - schubert_class(ctx, (1,))
-    before = dict(ctx._table)
+    before = dict(_PRODUCTS)
     lr = multiply_lr(x, y)
-    assert ctx._table == before
+    assert _PRODUCTS == before
     assert lr == multiply(x, y)
