@@ -30,16 +30,21 @@ by the p-th power of O_P(1), and sum(B, ...) is the Whitney sum.  In a
 projective-bundle context a bundle without a twist is computed on the base
 and pulled back once.  Errors carry positions and the expected-token set.
 
-Caches.  Evaluation keeps three bounded least-recently-used caches per
-process, keyed by AST nodes; cache_info() on each gives its hit counts:
-_resolve_context holds the ring of each context clause, _eval_bundle the
-Chern vector of each whole bundle a query names in each context (a bundle
-without a twist in P(E) is the one of the base), and _eval_atom each
-sigma[...] atom and each power of one, validated, in each context.  The size
-caps run before any is read, and a query that raises stores nothing.  Parts
-of a bundle are not cached, and nodes compare without recursion, so the
-caches do not lower how deep a query may nest.  Sharing them is safe: rings,
-Chern vectors and nodes are immutable, and functools.lru_cache is thread-safe.
+Caches.  Four bounded least-recently-used caches live per process;
+cache_info() on each gives its hit counts.  Evaluation keeps three, keyed by
+AST nodes: _resolve_context holds the ring of each context clause,
+_eval_bundle the Chern vector of each whole bundle a query names in each
+context (a bundle without a twist in P(E) is the one of the base), and
+_eval_atom each sigma[...] atom and each power of one, validated, in each
+context.  The fourth, the node table _node, holds the one node the parser
+builds for each distinct context, bundle, sigma[...] atom and power of one,
+so the keys of two parses of a text are the same objects and a cache hit
+compares them by identity; a hand-built key is equal, not the same, and hits
+through the == walk.  The size caps run before any evaluation cache is
+read, and a query that raises stores nothing.  Parts of a bundle are not
+cached, and nodes compare without recursion, so the caches do not lower how
+deep a query may nest.  Sharing them is safe: rings, Chern vectors and nodes
+are immutable, and functools.lru_cache is thread-safe.
 
 Size caps.  Legal queries can ask for more than a process can compute, so
 evaluate() rejects a query past one of these caps with an EvalError before
@@ -207,6 +212,21 @@ class Query(_Node):
 # builds a node without _Record's field count check, for callers that fix it
 _new = tuple.__new__
 
+# size of the node table (see Caches above)
+_NODE_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_NODE_CACHE_SIZE)
+def _node(cls, *fields):
+    """The one node of cls with these fields, for nodes that key a cache.
+
+    Callers pass interned children and int or str leaves, so the table
+    compares keys in C, children by identity, and a cache keyed by the node
+    it returns hits by identity too.  An evicted node is built again, equal
+    but not the same.
+    """
+    return tuple.__new__(cls, fields)
+
 
 # ------------------------------------------------------------------- lexer
 
@@ -280,7 +300,7 @@ class _Parser:
     def context(self):
         if self.texts[self.pos] == "G":
             k, n = self.grass()
-            return GrassContext(k, n)
+            return _node(GrassContext, k, n)
         if self.texts[self.pos] == "P":
             self.pos += 1
             self.eat("(")
@@ -288,7 +308,7 @@ class _Parser:
             self.eat(")")
             self.eat("over")
             k, n = self.grass()
-            return BundleContext(bundle, k, n)
+            return _node(BundleContext, bundle, k, n)
         raise self.fail(("'G'", "'P'"))
 
     def grass(self):
@@ -336,14 +356,16 @@ class _Parser:
                     parts.append(self.eat_int())
                 if texts[self.pos] != "]":
                     raise self.fail(("','", "']'"))
-            node = _new(Sigma, (tuple(parts),))
+            node = _node(Sigma, tuple(parts))
             pos = self.pos + 1
         else:
             node = self.atom()
             pos = self.pos
         if texts[pos] == "^":
             self.pos = pos + 1
-            return _new(Pow, (node, self.eat_int()))
+            exponent = self.eat_int()
+            # a power of a sigma atom keys the atom cache
+            return _node(Pow, node, exponent) if type(node) is Sigma else _new(Pow, (node, exponent))
         self.pos = pos
         return node
 
@@ -379,7 +401,7 @@ class _Parser:
         text = self.texts[self.pos]
         if text in ("S", "Sdual", "Q"):
             self.pos += 1
-            return BundleAtom(text)
+            return _node(BundleAtom, text)
         if text == "sym":
             self.pos += 1
             self.eat("(")
@@ -387,13 +409,13 @@ class _Parser:
             self.eat(",")
             inner = self.bundle()
             self.eat(")")
-            return Sym(m, inner)
+            return _node(Sym, m, inner)
         if text == "dual":
             self.pos += 1
             self.eat("(")
             inner = self.bundle()
             self.eat(")")
-            return Dual(inner)
+            return _node(Dual, inner)
         if text == "twist":
             self.pos += 1
             self.eat("(")
@@ -404,7 +426,7 @@ class _Parser:
                 self.pos += 1
             p = self.eat_int()
             self.eat(")")
-            return Twist(inner, -p if negative else p)
+            return _node(Twist, inner, -p if negative else p)
         if text == "quotient":
             self.pos += 1
             self.eat("(")
@@ -412,7 +434,7 @@ class _Parser:
             self.eat(",")
             den = self.bundle()
             self.eat(")")
-            return Quotient(num, den)
+            return _node(Quotient, num, den)
         if text == "sum":
             self.pos += 1
             self.eat("(")
@@ -421,7 +443,7 @@ class _Parser:
                 self.pos += 1
                 summands.append(self.bundle())
             self.eat(")")
-            return Sum(tuple(summands))
+            return _node(Sum, tuple(summands))
         raise self.fail(("'S'", "'Sdual'", "'Q'", "'sym'", "'dual'", "'twist'", "'quotient'", "'sum'"))
 
 
@@ -510,8 +532,8 @@ class EvalResult(_Record):
     _fields = ("kind", "value", "rendered", "context")  # kind: "integer" | "cycle"
 
 
-# sizes of the three caches (see Caches above); their keys are AST records,
-# never rings, whose cycles are unhashable
+# sizes of the three evaluation caches (see Caches above); their keys are AST
+# records, never rings, whose cycles are unhashable
 _CONTEXT_CACHE_SIZE = 32
 _BUNDLE_CACHE_SIZE = 256
 _ATOM_CACHE_SIZE = 512
@@ -526,7 +548,7 @@ def _resolve_context(node):
         raise EvalError(str(exc)) from None
     if isinstance(node, GrassContext):
         return GrassRing(ctx)
-    bundle = _eval_bundle(node.bundle, GrassContext(node.k, node.n))
+    bundle = _eval_bundle(node.bundle, _node(GrassContext, node.k, node.n))
     try:
         return ProjBundleRing(bundle)
     except ValueError as exc:
@@ -558,7 +580,7 @@ def _eval_bundle(node, context) -> ChernVector:
 def _bundle(node, context, ring) -> ChernVector:
     if isinstance(context, BundleContext) and not _has_twist(node):
         # pulled back from the base: compute there, with base products
-        return ring.pullback(_eval_bundle(node, GrassContext(context.k, context.n)))
+        return ring.pullback(_eval_bundle(node, _node(GrassContext, context.k, context.n)))
     if isinstance(node, BundleAtom):
         which = {"S": "sub", "Sdual": "sub_dual", "Q": "quotient"}[node.name]
         return ring.tautological(which)
@@ -683,11 +705,19 @@ def _check_expr_size(node, k: int, n: int, outer: int) -> None:
         if type(node.parts) is not tuple:  # a list would not hash as a cache key
             raise EvalError(f"sigma parts must be a tuple, got {node.parts!r}")
     elif kind is Mul:
+        if type(node.factors) is not tuple or not node.factors:
+            raise EvalError(f"product factors must be a nonempty tuple, got {node.factors!r}")
         for factor in node.factors:
             _check_expr_size(factor, k, n, outer)
     elif kind is Add:
-        for _, term in node.terms:
+        if type(node.terms) is not tuple or not node.terms:
+            raise EvalError(f"sum terms must be a nonempty tuple, got {node.terms!r}")
+        for sign, term in node.terms:
+            if type(sign) is not int or sign * sign != 1:
+                raise EvalError(f"sum signs must be 1 or -1, got {sign!r}")
             _check_expr_size(term, k, n, outer)
+        if node.terms[0][0] != 1:
+            raise EvalError("the first term of a sum must have sign 1, got -1")
     elif kind is Pow:
         if _int_leaf(node.exponent, "exponent") < 0:
             raise EvalError("exponents must be nonnegative")

@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 from curvecount.chern import _sym_chern_polys
-from curvecount.dsl import _eval_atom, _eval_bundle, _resolve_context
+from curvecount.dsl import _eval_atom, _eval_bundle, _node, _resolve_context
 from curvecount.recipes import (
     _count,
     builtin_ledgers,
@@ -35,6 +35,7 @@ def _cold_caches():
     _resolve_context.cache_clear()
     _eval_bundle.cache_clear()
     _eval_atom.cache_clear()
+    _node.cache_clear()
 
 
 def test_criterion_01_quintic_line_count():

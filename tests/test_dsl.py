@@ -1,6 +1,9 @@
+import hashlib
 import random
 import re
 import sys
+import types
+from pathlib import Path
 
 import pytest
 
@@ -520,6 +523,7 @@ def _clear_caches():
     dsl._resolve_context.cache_clear()
     dsl._eval_bundle.cache_clear()
     dsl._eval_atom.cache_clear()
+    dsl._node.cache_clear()
 
 
 def _counting(calls, fn):
@@ -651,11 +655,14 @@ def _raised(query):
     ids=["bool-context", "bool-sym-power", "float-sym-power", "bool-twist-power", "bool-sigma-part"],
 )
 def test_hand_built_non_integers_never_find_their_twins_entry(query, twin):
-    # True == 1 and 2.0 == 2 hash alike, but nodes holding them differ
+    # True == 1 and 2.0 == 2 hash alike, but nodes holding them differ; the
+    # twin's entries are made from parsed text, whose keys are interned, and
+    # from the hand-built twin, whose keys are not
     assert query != twin and hash(query) == hash(twin)
     _clear_caches()
     cold = _raised(query)
     _clear_caches()
+    evaluate(render(twin))
     evaluate(twin)
     assert _raised(query) == cold
     assert cold != evaluate(twin)
@@ -681,12 +688,23 @@ def test_hand_built_non_integers_never_find_their_twins_entry(query, twin):
         (Zeta(), BundleContext(Sum(()), 2, 4), "sum summands must be a nonempty tuple, got ()"),
         (ChernOf(1, BundleAtom("T")), GrassContext(2, 4), "unknown bundle 'T'"),
         (Zeta(), BundleContext(BundleAtom("T"), 2, 4), "unknown bundle 'T'"),
+        (Add(((-1, IntLit(2)), (1, IntLit(3)))), GrassContext(2, 4), "the first term of a sum must have sign 1, got -1"),
+        (Add(((1, IntLit(2)), (0, IntLit(3)))), GrassContext(2, 4), "sum signs must be 1 or -1, got 0"),
+        (Add(((1, IntLit(2)), (5, IntLit(3)))), GrassContext(2, 4), "sum signs must be 1 or -1, got 5"),
+        (Add(((True, IntLit(2)), (1, IntLit(3)))), GrassContext(2, 4), "sum signs must be 1 or -1, got True"),
+        (Add(((1, IntLit(2)), (-1.0, IntLit(3)))), GrassContext(2, 4), "sum signs must be 1 or -1, got -1.0"),
+        (Add(()), GrassContext(2, 4), "sum terms must be a nonempty tuple, got ()"),
+        (Add([(1, IntLit(2)), (1, IntLit(3))]), GrassContext(2, 4),
+         "sum terms must be a nonempty tuple, got [(1, IntLit(value=2)), (1, IntLit(value=3))]"),
+        (Mul(()), GrassContext(2, 4), "product factors must be a nonempty tuple, got ()"),
+        (Mul([IntLit(2), IntLit(3)]), GrassContext(2, 4),
+         "product factors must be a nonempty tuple, got [IntLit(value=2), IntLit(value=3)]"),
     ],
 )
 def test_hand_built_leaves_that_are_not_ints_are_eval_errors(expr, context, message):
-    # the parser makes every number an int, every sum a nonempty tuple and
-    # every bundle name known; a hand-built node is checked with the size
-    # caps, before any cache is read
+    # the parser makes every number an int, every sum and chain a nonempty
+    # tuple, every sign 1 or -1 and the first 1, and every bundle name known;
+    # a hand-built node is checked with the size caps, before any cache is read
     _clear_caches()
     with pytest.raises(EvalError) as err:
         evaluate(Query(expr, context))
@@ -763,3 +781,77 @@ def test_a_power_chain_nested_to_the_parsers_limit_evaluates():
     _clear_caches()
     assert evaluate(parse(chain(lo))) == expected
     assert evaluate(parse(chain(lo))) == expected
+
+
+# -------------------------------------------------------------- node table
+
+_KEYED = "integrate(c(2, twist(sym(2, Sdual), 1)) * zeta^2 * sigma[1]^2 - c(1, Q)) in P(sym(2, Sdual)) over G(2,4)"
+
+
+def test_two_parses_of_one_text_share_their_keys():
+    first, second = parse(_KEYED), parse(_KEYED)
+    assert first is not second and first == second
+    assert first.context is second.context
+    assert first.context.bundle is second.context.bundle
+    (_, product), (_, chern) = first.expr.expr.terms
+    (_, product_again), (_, chern_again) = second.expr.expr.terms
+    twisted, zeta_power, sigma_power = product.factors
+    assert twisted.bundle is product_again.factors[0].bundle and chern.bundle is chern_again.bundle
+    assert sigma_power is product_again.factors[2]  # a power of a sigma atom is a key
+    assert zeta_power is not product_again.factors[1] and chern is not chern_again  # these are not
+    assert parse("sigma[1] in G(2,4)").context is parse("sigma[2] in G(2,4)").context
+    # a hand-built node equals the parsed one but is another object
+    assert GrassContext(2, 4) == parse("sigma[1] in G(2,4)").context
+    assert GrassContext(2, 4) is not parse("sigma[1] in G(2,4)").context
+
+
+def test_a_fresh_parse_of_an_evaluated_query_hits_by_identity(monkeypatch):
+    _clear_caches()
+    first = evaluate(_KEYED)
+    before = [cache.cache_info().hits for cache in (dsl._resolve_context, dsl._eval_bundle, dsl._eval_atom)]
+    calls = []
+    monkeypatch.setattr(dsl._Node, "__eq__", _counting(calls, dsl._Node.__eq__))
+    again = evaluate(parse(_KEYED))
+    assert calls == []
+    monkeypatch.undo()
+    after = [cache.cache_info().hits for cache in (dsl._resolve_context, dsl._eval_bundle, dsl._eval_atom)]
+    assert all(a > b for a, b in zip(after, before))
+    assert again == first
+
+
+def test_the_node_table_is_bounded_and_eviction_costs_only_speed():
+    _clear_caches()
+    query = "sigma[1,1]^2 * sigma[2] in G(2,5)"
+    first = evaluate(query)
+    key = parse(query).expr.factors[0]
+    for i in range(dsl._NODE_CACHE_SIZE + 8):
+        parse(f"sigma[{i + 3}] in G(2,5)")
+    assert dsl._node.cache_info().currsize <= dsl._NODE_CACHE_SIZE
+    again = parse(query)
+    assert again.expr.factors[0] is not key and again.expr.factors[0] == key
+    assert evaluate(again) == first
+
+
+def _session_workloads():
+    # the benchmark's stream builder, read and run without writing anything
+    # under perfbench/, such as a bytecode cache
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    module = types.ModuleType("perfbench_workloads")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_session_renderings_are_pinned_cold_and_warm():
+    # the 3024 queries of three benchmark session streams, parsed, rendered
+    # and evaluated; the hash was fixed before the parser interned any node
+    from curvecount.schubert import _PRODUCTS
+
+    texts = [q["text"] for seed in (7, 11, 801) for q in _session_workloads().session_stream(seed)]
+    assert len(texts) == 3024
+    _clear_caches()
+    _PRODUCTS.clear()
+    for _ in ("cold", "warm"):
+        lines = "".join(f"{render(parse(t))} => {evaluate(t).rendered}\n" for t in texts)
+        digest = hashlib.sha256(lines.encode()).hexdigest()
+        assert digest == "19245c7603e720c5394a3ff3ecea83cf67cc494b66d7c6a8a84f7aee47f33293"

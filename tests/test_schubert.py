@@ -230,7 +230,7 @@ def test_each_entering_partition_is_validated_once(monkeypatch):
     from curvecount.dsl import evaluate
 
     # a cached atom is not validated again, so the DSL starts cold
-    for cache in (dsl._resolve_context, dsl._eval_bundle, dsl._eval_atom):
+    for cache in (dsl._resolve_context, dsl._eval_bundle, dsl._eval_atom, dsl._node):
         cache.cache_clear()
     calls = []
     inner = schubert.Partition.__new__
