@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import random
@@ -95,6 +96,22 @@ def test_sym_chern_polys_hold_no_zero_coefficients(r):
             if top <= rank:
                 for p in _sym_chern_polys(r, m, top):
                     assert all(p.values()), (r, m, top)
+
+
+def test_every_sym_chern_polynomial_is_pinned():
+    # every truncation of Sym^m of a rank-r bundle for r <= 4, m <= 5 and
+    # top <= 25; a new way of computing the polynomials must give each one
+    # bit-identical, monomials and coefficients alike
+    digest = hashlib.sha256()
+    keys = 0
+    for r in range(1, 5):
+        for m in range(6):
+            for top in range(1, min(25, math.comb(m + r - 1, r - 1)) + 1):
+                out = _sym_chern_polys(r, m, top)
+                digest.update(repr((r, m, top, [sorted(p.items()) for p in out])).encode())
+                keys += 1
+    assert keys == 168
+    assert digest.hexdigest() == "e8a32eed8158b48f89d07f11da1195f308aa5bfd655c410a26aa157589463be4"
 
 
 @pytest.mark.parametrize("k,n,m,count", [(3, 8, 4, 3297280), (4, 9, 3, 321489), (3, 10, 5, 420760566875)])
