@@ -7,18 +7,21 @@ identities give the power sums of E, the Adams operations psi^a (which
 scale the j-th power sum by a^j) give those of Sym^m E through a recurrence,
 and Newton's identities again give its Chern classes.  That runs once per
 (rank, power, degree) on integer polynomials in c_1..c_r, keeping only
-degrees up to the target ring's top degree, and the result is substituted
-into the Grassmannian ring or a projective-bundle ring.  See Fulton,
-Intersection Theory, ch. 3, and Katz and Stromme's Schubert package.
+degrees up to the target ring's top degree; a class is substituted into
+the Grassmannian ring or a projective-bundle ring on its first read.  See
+Fulton, Intersection Theory, ch. 3, and Katz and Stromme's Schubert package.
 
 All coefficients are arbitrary-precision integers; products are summed in
 place, and every division is exact, raises on a remainder and drops zero
-terms.  Every value is immutable, and the polynomial cache is a
-functools.lru_cache, safe to share across threads.
+terms.  Ring elements are immutable.  A bundle's classes are a tuple, or for
+a symmetric power a sequence filled class by class on first read; a fill is
+idempotent, so it is safe to share across threads, as is the polynomial
+cache, a functools.lru_cache.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import lru_cache
 from math import comb
 
@@ -157,7 +160,8 @@ class ChernVector(_Record):
 
     classes[i] is c_{i+1}, stored for i < min(rank, top degree); c_0 is the
     ring unit implicitly, and classes above the ring's top degree vanish and
-    are not stored, so rank may be arbitrarily large.
+    are not stored, so rank may be arbitrarily large.  classes is a sequence
+    equal to the tuple of the classes; a symmetric power fills it on read.
 
     The ring is a handle (GrassRing or ProjBundleRing) with top_degree,
     one(), zero() and integrate(x), the integer degree of the top-degree
@@ -228,8 +232,7 @@ def sym_power(e: ChernVector, m: int) -> ChernVector:
     """Chern vector of Sym^m of e.
 
     The polynomials of _sym_chern_polys, truncated at the ring's top degree,
-    are evaluated at the classes of e; each monomial of degree two or more is
-    one ring product of a smaller monomial and one class.
+    are evaluated at the classes of e, each on its first read (_SymClasses).
     """
     if not _is_int(m) or m < 0:
         raise ValueError(f"symmetric power must be a nonnegative integer, got {m}")
@@ -239,24 +242,61 @@ def sym_power(e: ChernVector, m: int) -> ChernVector:
     rank = comb(m + e.rank - 1, e.rank - 1)
     top = min(ring.top_degree, rank)
     polys = _sym_chern_polys(e.rank, m, top)
-    nvars = min(e.rank, top)
-    memo = {tuple(int(j == i) for j in range(nvars)): e.classes[i] for i in range(nvars)}
+    return ChernVector(ring, rank, _SymClasses(ring, polys, e.classes, min(e.rank, top)))
 
-    def monomial(expo):
-        value = memo.get(expo)
+
+class _SymClasses(Sequence):
+    """The classes of a symmetric power: a read-only sequence that behaves
+    as their tuple (len, indexing, iteration, ==, repr, pickling; no hash).
+
+    Class i is its polynomial evaluated at the base classes on first read,
+    then stored; each monomial of degree two or more is one ring product of
+    a smaller monomial and one base class, memoised across all classes.  Two
+    threads racing on one class store the same value twice.
+    """
+
+    __slots__ = ("_ring", "_polys", "_base", "_memo", "_values")
+
+    def __init__(self, ring, polys: tuple, base, nvars: int):
+        self._ring, self._polys, self._base = ring, polys, base
+        self._memo = {tuple(int(j == i) for j in range(nvars)): base[i] for i in range(nvars)}
+        self._values = [None] * len(polys)
+
+    def __len__(self):
+        return len(self._values)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self)[i]
+        value = self._values[i]
         if value is None:
-            i = max(j for j, x in enumerate(expo) if x)
-            value = monomial(expo[:i] + (expo[i] - 1,) + expo[i + 1 :]) * e.classes[i]
-            memo[expo] = value
+            value = self._ring.zero()
+            for expo, coeff in self._polys[i].items():
+                value = value + coeff * self._monomial(expo)
+            self._values[i] = value
         return value
 
-    classes = []
-    for poly in polys:
-        acc = ring.zero()
-        for expo, coeff in poly.items():
-            acc = acc + coeff * monomial(expo)
-        classes.append(acc)
-    return ChernVector(ring, rank, tuple(classes))
+    def _monomial(self, expo):
+        memo, chain = self._memo, []
+        while expo not in memo:  # strip one factor of the last class present
+            i = max(j for j, x in enumerate(expo) if x)
+            chain.append((expo, i))
+            expo = expo[:i] + (expo[i] - 1,) + expo[i + 1 :]
+        value = memo[expo]
+        for expo, i in reversed(chain):
+            value = memo[expo] = value * self._base[i]
+        return value
+
+    def __eq__(self, other):
+        return tuple(self) == tuple(other) if isinstance(other, (tuple, _SymClasses)) else NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return repr(tuple(self))
+
+    def __reduce__(self):
+        return tuple, (tuple(self),)
 
 
 def dual_bundle(e: ChernVector) -> ChernVector:

@@ -712,7 +712,10 @@ def _check_expr_size(node, k: int, n: int, outer: int) -> None:
     elif kind is Add:
         if type(node.terms) is not tuple or not node.terms:
             raise EvalError(f"sum terms must be a nonempty tuple, got {node.terms!r}")
-        for sign, term in node.terms:
+        for pair in node.terms:
+            if type(pair) is not tuple or len(pair) != 2:
+                raise EvalError(f"sum terms must be (sign, term) pairs, got {pair!r}")
+            sign, term = pair
             if type(sign) is not int or sign * sign != 1:
                 raise EvalError(f"sum signs must be 1 or -1, got {sign!r}")
             _check_expr_size(term, k, n, outer)

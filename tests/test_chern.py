@@ -1,9 +1,12 @@
+import copy
 import hashlib
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -21,6 +24,7 @@ from curvecount.chern import (
     whitney_quotient,
 )
 import curvecount
+from curvecount import schubert
 from curvecount.schubert import GrassCtx, SchubertCycle
 
 R25 = GrassRing(GrassCtx(2, 5))
@@ -121,6 +125,88 @@ def test_plane_counts(k, n, m, count):
     bundle = sym_power(ring.tautological("sub_dual"), m)
     assert bundle.rank == ring.top_degree
     assert ring.integrate(bundle.c(bundle.rank)) == count
+
+
+def _sym4_on_g38():
+    return sym_power(GrassRing(GrassCtx(3, 8)).tautological("sub_dual"), 4)
+
+
+def test_one_class_of_a_sym_power_costs_only_its_own_products(monkeypatch):
+    # the planes counts read c_top alone; the other 14 classes are never substituted
+    calls = []
+    inner = schubert.multiply
+
+    def counting(a, b):
+        calls.append(1)
+        return inner(a, b)
+
+    monkeypatch.setattr(schubert, "multiply", counting)
+    schubert._PRODUCTS.clear()
+    v = _sym4_on_g38()
+    top = v.c(15)
+    one = len(calls)
+    assert v.ring.integrate(top) == 3297280
+    calls.clear()
+    schubert._PRODUCTS.clear()
+    every = tuple(_sym4_on_g38().classes)
+    assert 0 < one < len(calls)
+    assert every[14] == top
+
+
+def test_sym_power_classes_read_in_any_order_agree():
+    forward = tuple(_sym4_on_g38().classes)
+    backward = _sym4_on_g38().classes
+    assert [backward[i] for i in reversed(range(15))] == list(forward)[::-1]
+    order = list(range(15))
+    random.Random(21).shuffle(order)
+    shuffled = _sym4_on_g38().classes
+    got = {i: shuffled[i] for i in order}
+    assert tuple(got[i] for i in range(15)) == forward == tuple(shuffled)
+
+
+def test_sym_power_classes_behave_as_their_tuple():
+    q = R25.tautological("quotient")
+    eager = ChernVector(R25, 10, tuple(sym_power(q, 3).classes))
+    assert type(eager.classes) is tuple
+    assert repr(sym_power(q, 3)) == repr(eager)  # repr of a vector nothing has read
+    v = sym_power(q, 3)
+    assert v.classes[-1] == eager.classes[5] and v.classes[-6] == eager.classes[0]
+    for index in (6, -7):
+        with pytest.raises(IndexError):
+            v.classes[index]
+    assert v.classes[1:4] == eager.classes[1:4]
+    assert len(v.classes) == 6 and list(v.classes) == list(eager.classes)
+    assert v.classes == eager.classes and eager.classes == v.classes
+    assert not v.classes != eager.classes and not eager.classes != v.classes
+    assert v.classes == sym_power(q, 3).classes and v == eager and eager == v
+    for other in ((R25.zero(),) * 6, eager.classes[:5]):
+        assert v.classes != other and other != v.classes
+    assert v.classes != list(eager.classes)  # a list is not a tuple, as for tuples
+    assert pickle.loads(pickle.dumps(v)) == v
+    assert copy.deepcopy(v) == v and copy.copy(v) == v
+    for value in (v, v.classes):
+        with pytest.raises(TypeError):
+            hash(value)
+
+
+def test_threads_reading_one_sym_power_agree():
+    v = _sym4_on_g38()
+    orders = [list(range(15)), list(range(14, -1, -1)), list(range(0, 15, 2)) + list(range(1, 15, 2))]
+    orders.append(random.Random(4).sample(range(15), 15))
+    barrier = threading.Barrier(len(orders))
+    results = [None] * len(orders)
+
+    def read(t):
+        barrier.wait()
+        got = {i: v.classes[i] for i in orders[t]}
+        results[t] = tuple(got[i] for i in range(15))
+
+    threads = [threading.Thread(target=read, args=(t,)) for t in range(len(orders))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert results == [tuple(_sym4_on_g38().classes)] * len(orders)
 
 
 def test_chern_vector_indexing():

@@ -694,6 +694,9 @@ def test_hand_built_non_integers_never_find_their_twins_entry(query, twin):
         (Add(((True, IntLit(2)), (1, IntLit(3)))), GrassContext(2, 4), "sum signs must be 1 or -1, got True"),
         (Add(((1, IntLit(2)), (-1.0, IntLit(3)))), GrassContext(2, 4), "sum signs must be 1 or -1, got -1.0"),
         (Add(()), GrassContext(2, 4), "sum terms must be a nonempty tuple, got ()"),
+        (Add(((1, IntLit(2)), IntLit(3))), GrassContext(2, 4), "sum terms must be (sign, term) pairs, got IntLit(value=3)"),
+        (Add(((1, IntLit(2)), (1, IntLit(3), IntLit(4)))), GrassContext(2, 4),
+         "sum terms must be (sign, term) pairs, got (1, IntLit(value=3), IntLit(value=4))"),
         (Add([(1, IntLit(2)), (1, IntLit(3))]), GrassContext(2, 4),
          "sum terms must be a nonempty tuple, got [(1, IntLit(value=2)), (1, IntLit(value=3))]"),
         (Mul(()), GrassContext(2, 4), "product factors must be a nonempty tuple, got ()"),
