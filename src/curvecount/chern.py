@@ -172,7 +172,7 @@ class ChernVector(_Record):
 
     _fields = ("ring", "rank", "classes")
 
-    def __new__(cls, ring, rank: int, classes: tuple):
+    def __new__(cls, ring, rank: int, classes: Sequence):
         if not _is_int(rank) or rank < 0:
             raise ValueError(f"rank must be a nonnegative integer, got {rank!r}")
         depth = min(rank, ring.top_degree)
