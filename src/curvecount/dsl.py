@@ -692,7 +692,7 @@ def _bundle_rank(node, k: int, n: int) -> int:
             raise EvalError(f"sum summands must be a nonempty tuple, got {node.summands!r}")
         rank = sum(_bundle_rank(b, k, n) for b in node.summands)
     else:
-        raise TypeError(f"not a bundle node: {node!r}")
+        raise EvalError(f"not a bundle node: {node!r}")
     if rank > MAX_RANK:
         raise EvalError(f"{render_bundle(node)} has rank {rank}, above the cap of {MAX_RANK}")
     return rank
@@ -735,11 +735,15 @@ def _check_expr_size(node, k: int, n: int, outer: int) -> None:
         _check_expr_size(node.expr, k, n, outer)
     elif kind is IntLit:
         _int_leaf(node.value, "integer literal")
+    elif kind is not Zeta:
+        raise EvalError(f"not an expression node: {node!r}")
 
 
 def _check_size(query: Query) -> None:
     """Raise EvalError if the query is past one of the size caps."""
     ctx = query.context
+    if not isinstance(ctx, (GrassContext, BundleContext)):
+        raise EvalError(f"not a context node: {ctx!r}")
     if not 0 < ctx.k < ctx.n:
         return  # not a Grassmannian; _resolve_context reports it
     dim = ctx.k * (ctx.n - ctx.k)
@@ -752,6 +756,11 @@ def _check_size(query: Query) -> None:
     _check_expr_size(query.expr, ctx.k, ctx.n, 1)
 
 
+def _value(query: Query):
+    """The value of a parsed query, without the size caps or node checks."""
+    return _eval_expr(query.expr, _resolve_context(query.context), query.context)
+
+
 def evaluate(query) -> EvalResult:
     """Evaluate a query string or parsed Query against its own context.
 
@@ -762,8 +771,7 @@ def evaluate(query) -> EvalResult:
         query = parse(query)
     try:
         _check_size(query)
-        ring = _resolve_context(query.context)
-        value = _eval_expr(query.expr, ring, query.context)
+        value = _value(query)
     except RecursionError:
         raise EvalError("expression nests too deeply") from None
     context = render_context(query.context)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import os
-from functools import lru_cache
 
 from . import dsl
 from .schubert import _is_int, _Record
@@ -82,7 +81,6 @@ class CountReport(_Record):
         return "\n".join(lines)
 
 
-@lru_cache(maxsize=None)
 def _count(curve: str, ambient_dim: int, degrees: tuple) -> CountReport:
     e = 1 if curve == "lines" else 2
     rank = sum(e * d + 1 for d in degrees)
@@ -98,8 +96,8 @@ def _count(curve: str, ambient_dim: int, degrees: tuple) -> CountReport:
     bundle = summands[0] if len(summands) == 1 else dsl.Sum(tuple(summands))
     space = dsl.GrassContext(2, n) if e == 1 else dsl.BundleContext(dsl.Sym(2, sdual), 3, n)
     query = dsl.Query(dsl.IntegrateNode(dsl.ChernOf(rank, bundle)), space)
-    # the DSL's evaluator without its size caps: a recipe takes any N
-    count = dsl._eval_expr(query.expr, dsl._resolve_context(space), space)
+    # a recipe takes any N, so its query may lie past the DSL's size caps
+    count = dsl._value(query)
     return CountReport(curve, ambient_dim, degrees, dim, rank, count, None, calabi_yau, dsl.render(query))
 
 
@@ -139,16 +137,10 @@ def conics_on_complete_intersection(ambient_dim: int, degrees) -> CountReport:
 
 
 def conics_on_quintic_type(degree: int) -> CountReport:
-    """Conics on a generic degree-d hypersurface in P^4.
-
-    The moduli space has dimension 11 and the condition bundle rank 2d+1
-    (see conics_on_complete_intersection).  d = 5 balances rank and
-    dimension and yields the count; other degrees report the family
-    dimension 11 - (2d+1).
-    """
-    if not _is_int(degree) or degree < 2:
-        raise ValueError(f"hypersurface degree must be an integer >= 2, got {degree!r}")
-    return _count("conics", 4, (degree,))
+    """Conics on a generic degree-d hypersurface in P^4, as reported by
+    conics_on_complete_intersection(4, (degree,)): the count 609250 for
+    d = 5, otherwise the family dimension 11 - (2d+1)."""
+    return conics_on_complete_intersection(4, (degree,))
 
 
 class ClemensCount(_Record):
@@ -330,24 +322,30 @@ def _parse_ledger(obj, origin: str) -> DegenerationLedger:
     return DegenerationLedger(name, total, tuple(comps))
 
 
-def _load_data():
-    with open(os.path.join(os.path.dirname(__file__), "data", "degenerations.json")) as fh:
-        return json.load(fh)
+_DATA = os.path.join(os.path.dirname(__file__), "data", "degenerations.json")
+
+
+def _read_json(path):
+    """The JSON document in a UTF-8 file; one that does not decode is a ValueError naming it."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON ({exc})") from None
+        except RecursionError:
+            raise ValueError(f"{path}: not valid JSON (nested too deeply)") from None
+        except ValueError as exc:  # not UTF-8, or an integer past the interpreter's limit on digits
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def builtin_ledgers() -> dict:
     """The shipped degeneration ledgers, keyed by name."""
-    data = _load_data()
-    out = {}
-    for obj in data["ledgers"]:
-        ledger = _parse_ledger(obj, "builtin data")
-        out[ledger.name] = ledger
-    return out
+    return {ledger.name: ledger for ledger in load_ledger_file(_DATA)}
 
 
 def reference_counts() -> dict:
     """Shipped reference values that are recorded, never recomputed."""
-    data = _load_data()
+    data = _read_json(_DATA)
     return {rec["name"]: {"value": rec["value"], "note": rec["note"]} for rec in data["reference_counts"]}
 
 
@@ -356,13 +354,7 @@ def load_ledger_file(path) -> list:
 
     Unknown top-level keys are ignored so the builtin data format loads too.
     """
-    with open(path, "r") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc})") from None
-        except RecursionError:
-            raise ValueError(f"{path}: not valid JSON (nested too deeply)") from None
+    data = _read_json(path)
     if not isinstance(data, dict) or "ledgers" not in data:
         raise ValueError(f"{path}: expected an object with a 'ledgers' list")
     if not isinstance(data["ledgers"], list):

@@ -22,7 +22,6 @@ from .recipes import (
     builtin_ledgers,
     clemens_excess,
     conics_on_complete_intersection,
-    conics_on_quintic_type,
     equivalence_unobstructed,
     ledger_check,
     lines_on_complete_intersection,
@@ -97,13 +96,12 @@ def _classical_suite() -> list:
         ("conics", 5, (2, 4), 92288),
         ("conics", 6, (2, 2, 3), 22428),
         ("conics", 7, (2, 2, 2, 2), 9728),
+        ("conics", 4, (5,), 609250),
     ]
     for curve, ambient, degrees, expected in goldens:
         report = counters[curve](ambient, degrees)
         label = f"{curve}-" + "x".join(str(d) for d in degrees) + f"-in-P{ambient}"
         results.append(_check(label, expected, report.count))
-
-    results.append(_check("conics-5-in-P4", 609250, conics_on_quintic_type(5).count))
 
     ctx45 = GrassCtx(2, 4)
     results.append(_check("sigma1^4-G(2,4)", 2, integrate(schubert_class(ctx45, (1,)) ** 4)))

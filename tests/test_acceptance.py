@@ -12,7 +12,6 @@ from fractions import Fraction
 from curvecount.chern import _sym_chern_polys
 from curvecount.dsl import _eval_atom, _eval_bundle, _node, _resolve_context
 from curvecount.recipes import (
-    _count,
     builtin_ledgers,
     clemens_excess,
     conics_on_quintic_type,
@@ -31,7 +30,6 @@ from curvecount.suites import _small_contexts, run_suite
 def _cold_caches():
     _PRODUCTS.clear()
     _sym_chern_polys.cache_clear()
-    _count.cache_clear()
     _resolve_context.cache_clear()
     _eval_bundle.cache_clear()
     _eval_atom.cache_clear()

@@ -352,6 +352,25 @@ def test_ledger_check_bad_file_exits_one(tmp_path, capsys):
     assert code == 1
 
 
+def test_ledger_check_file_not_utf8_names_the_file(tmp_path, capsys):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff{}")
+    code, out, err = run_cli(capsys, "ledger", "check", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no limit on integer digits")
+def test_ledger_check_overlong_integer_names_the_file(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text('{"ledgers": [{"name": "x", "total": ' + "9" * 5001 + ', "components": []}]}')
+    code, out, err = run_cli(capsys, "ledger", "check", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {path}: ")
+
+
 def test_ledger_check_deeply_nested_file_exits_one(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100000)

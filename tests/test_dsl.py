@@ -702,12 +702,21 @@ def test_hand_built_non_integers_never_find_their_twins_entry(query, twin):
         (Mul(()), GrassContext(2, 4), "product factors must be a nonempty tuple, got ()"),
         (Mul([IntLit(2), IntLit(3)]), GrassContext(2, 4),
          "product factors must be a nonempty tuple, got [IntLit(value=2), IntLit(value=3)]"),
+        (BundleAtom("S"), GrassContext(2, 4), "not an expression node: BundleAtom(name='S')"),
+        (GrassContext(2, 4), GrassContext(2, 4), "not an expression node: GrassContext(k=2, n=4)"),
+        (Neg(BundleAtom("S")), GrassContext(2, 4), "not an expression node: BundleAtom(name='S')"),
+        (Pow(GrassContext(2, 4), 2), GrassContext(2, 4), "not an expression node: GrassContext(k=2, n=4)"),
+        (IntegrateNode(BundleAtom("S")), GrassContext(2, 4), "not an expression node: BundleAtom(name='S')"),
+        ("sigma[1]", GrassContext(2, 4), "not an expression node: 'sigma[1]'"),
+        (ChernOf(1, Sigma((1,))), GrassContext(2, 4), "not a bundle node: Sigma(parts=(1,))"),
+        (ChernOf(1, Sum((BundleAtom("S"), Sigma((1,))))), GrassContext(2, 4), "not a bundle node: Sigma(parts=(1,))"),
+        (Sigma((1,)), Sigma((1,)), "not a context node: Sigma(parts=(1,))"),
     ],
 )
 def test_hand_built_leaves_that_are_not_ints_are_eval_errors(expr, context, message):
     # the parser makes every number an int, every sum and chain a nonempty
-    # tuple, every sign 1 or -1 and the first 1, and every bundle name known;
-    # a hand-built node is checked with the size caps, before any cache is read
+    # tuple, every sign 1 or -1 and the first 1, every bundle name known, and
+    # every node of the kind its place takes; a hand-built node is checked with the size caps, before any cache is read
     _clear_caches()
     with pytest.raises(EvalError) as err:
         evaluate(Query(expr, context))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from curvecount import dsl, recipes
+from curvecount import dsl
 from curvecount.recipes import (
     CountReport,
     DegenerationLedger,
@@ -89,7 +89,7 @@ def test_conic_count_on_quintic():
     assert report.calabi_yau
 
 
-@pytest.mark.parametrize("degree,family_dim", [(2, 6), (3, 4), (4, 2), (6, -2), (9, -8)])
+@pytest.mark.parametrize("degree,family_dim", [(1, 8), (2, 6), (3, 4), (4, 2), (6, -2), (9, -8)])
 def test_conic_families(degree, family_dim):
     report = conics_on_quintic_type(degree)
     assert report.count is None
@@ -97,8 +97,6 @@ def test_conic_families(degree, family_dim):
 
 
 def test_conics_input_validation():
-    with pytest.raises(ValueError):
-        conics_on_quintic_type(1)
     for bad in (0, 5.0, True, "5"):
         with pytest.raises(ValueError):
             conics_on_quintic_type(bad)
@@ -112,7 +110,6 @@ def test_unbalanced_recipe_builds_no_bundle(monkeypatch):
     def no_bundle(*args):
         raise AssertionError("built a bundle for an unbalanced recipe")
 
-    recipes._count.cache_clear()
     dsl._resolve_context.cache_clear()  # so a cached ring or bundle cannot hide the work
     dsl._eval_bundle.cache_clear()
     monkeypatch.setattr(dsl, "sym_power", no_bundle)
@@ -142,7 +139,8 @@ def test_calabi_yau_conic_counts(ambient, degrees, expected):
 
 def test_quintic_shorthand_matches_the_general_recipe():
     assert conics_on_quintic_type(5) == conics_on_complete_intersection(4, [5])
-    assert conics_on_quintic_type(3) == conics_on_complete_intersection(4, (3,))
+    for d in range(1, 10):
+        assert conics_on_quintic_type(d) == conics_on_complete_intersection(4, (d,))
 
 
 HYPERPLANE_CASES = [
@@ -192,8 +190,17 @@ def test_report_query_text():
 
 def test_recipes_ignore_the_dsl_size_caps(monkeypatch):
     # recipes take any N; only the public evaluate stops a query past a cap
+    # G(2,15) has dimension 26, past MAX_DIMENSION
+    report = lines_on_complete_intersection(14, (1,) * 10 + (5,))
+    assert report.count == 2875
+    with pytest.raises(dsl.EvalError, match=r"G\(2,15\) has dimension 26"):
+        dsl.evaluate(report.query)
+    # sym(13, Sdual) is past MAX_SYM_POWER
+    report = lines_on_complete_intersection(9, (1, 13))
+    assert report.count == lines_on_complete_intersection(8, (13,)).count == 210776836330775
+    with pytest.raises(dsl.EvalError, match="sym power 13 is above the cap"):
+        dsl.evaluate(report.query)
     monkeypatch.setattr(dsl, "MAX_DIMENSION", 5)
-    recipes._count.cache_clear()
     report = lines_on_complete_intersection(4, [5])
     assert report.count == 2875
     with pytest.raises(dsl.EvalError, match="above the cap of 5"):
