@@ -102,20 +102,41 @@ def test_sym_chern_polys_hold_no_zero_coefficients(r):
                     assert all(p.values()), (r, m, top)
 
 
+def _pinned_keys():
+    for r in range(1, 5):
+        for m in range(6):
+            for top in range(1, min(25, math.comb(m + r - 1, r - 1)) + 1):
+                yield r, m, top
+
+
+def _wide_keys():
+    for r, powers in ((5, range(4)), (6, range(4)), (1, range(6, 13)), (2, range(6, 13)), (3, range(6, 13))):
+        for m in powers:
+            for top in range(1, min(12, math.comb(m + r - 1, r - 1)) + 1):
+                yield r, m, top
+
+
+def _digest(keys):
+    digest = hashlib.sha256()
+    count = 0
+    for r, m, top in keys:
+        out = _sym_chern_polys(r, m, top)
+        digest.update(repr((r, m, top, [sorted(p.items()) for p in out])).encode())
+        count += 1
+    return count, digest.hexdigest()
+
+
 def test_every_sym_chern_polynomial_is_pinned():
     # every truncation of Sym^m of a rank-r bundle for r <= 4, m <= 5 and
     # top <= 25; a new way of computing the polynomials must give each one
     # bit-identical, monomials and coefficients alike
-    digest = hashlib.sha256()
-    keys = 0
-    for r in range(1, 5):
-        for m in range(6):
-            for top in range(1, min(25, math.comb(m + r - 1, r - 1)) + 1):
-                out = _sym_chern_polys(r, m, top)
-                digest.update(repr((r, m, top, [sorted(p.items()) for p in out])).encode())
-                keys += 1
-    assert keys == 168
-    assert digest.hexdigest() == "e8a32eed8158b48f89d07f11da1195f308aa5bfd655c410a26aa157589463be4"
+    assert _digest(_pinned_keys()) == (168, "e8a32eed8158b48f89d07f11da1195f308aa5bfd655c410a26aa157589463be4")
+
+
+def test_every_wide_sym_chern_polynomial_is_pinned():
+    # the keys the pin above misses: ranks 5 and 6, whose polynomials hold
+    # c_4..c_6, and powers up to the DSL's cap of 12, truncated at top <= 12
+    assert _digest(_wide_keys()) == (221, "291f56d5f7fdf2f29e6aed2d6373adc21deab046f875f3fdf292d1a269aeedcf")
 
 
 @pytest.mark.parametrize("k,n,m,count", [(3, 8, 4, 3297280), (4, 9, 3, 321489), (3, 10, 5, 420760566875)])
