@@ -11,12 +11,17 @@ degrees up to the target ring's top degree; a class is substituted into
 the Grassmannian ring or a projective-bundle ring on its first read.  See
 Fulton, Intersection Theory, ch. 3, and Katz and Stromme's Schubert package.
 
-All coefficients are arbitrary-precision integers; products are summed in
-place, and every division is exact, raises on a remainder and drops zero
-terms.  Ring elements are immutable.  A bundle's classes are a tuple, or for
-a symmetric power a sequence filled class by class on first read; a fill is
-idempotent, so it is safe to share across threads, as is the polynomial
-cache, a functools.lru_cache.
+All coefficients are arbitrary-precision integers.  While the polynomials
+are computed they are packed by Kronecker substitution (Kronecker 1882; see
+Harvey, "Faster polynomial multiplication via multipoint Kronecker
+substitution", 2009): the part in c_2 and c_3 is one int with a W-bit digit
+per monomial, so a product is one big-int multiplication; W comes from a
+proven coefficient bound, and no float is involved.  Products are summed in
+place, and every division is exact, checks every packed coefficient, raises
+on a remainder and drops zero terms.  Ring elements are immutable.  A
+bundle's classes are a tuple, or for a symmetric power a sequence filled
+class by class on first read; a fill is idempotent, so it is safe to share
+across threads, as is the polynomial cache, a functools.lru_cache.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from functools import lru_cache
 from math import comb
+from operator import mul
 
 from .schubert import SchubertCycle, _is_int, _Record, chern_tautological, schubert_class
 from .schubert import integrate as _grass_integrate
@@ -78,16 +84,63 @@ def _poly_addmul(acc: dict, p: dict, q: dict, scale: int) -> None:
             acc[e] = get(e, 0) + c1 * c2
 
 
-def _exact_div(p: dict, k: int) -> dict:
-    """p / k with zero terms dropped; ArithmeticError unless every coefficient divides."""
+def _exact_div(p: dict, k: int, half: int, high: int) -> dict:
+    """p / k for packed values, zero values dropped; ArithmeticError unless
+    every packed coefficient divides.
+
+    half and high are _packing's for a divisor bound of at least k.  The
+    add-and-mask test accepts a quotient only if its every digit lies in
+    [-2^B, 2^B); k times such a quotient has the dividend's digits, so a
+    value that divides while one of its digits does not still raises.
+    """
     out = {}
     for e, c in p.items():
         q, rem = divmod(c, k)
-        if rem:
-            raise ArithmeticError(f"coefficient {c} is not divisible by {k}")
+        if rem or (q + half) & high:
+            raise ArithmeticError(f"a coefficient packed in {c} is not divisible by {k}")
         if q:
             out[e] = q
     return out
+
+
+def _packing(bits: int, divisor: int, slots: int) -> tuple:
+    """(W, half, high) for `slots` balanced digits below 2^bits in magnitude,
+    divided by integers up to divisor: W = bits + bitlength(divisor) + 1,
+    rounded up to whole bytes; half holds 2^bits in every slot, and high is
+    every bit but the low bits + 1 of each slot."""
+    width = -(-(bits + divisor.bit_length() + 1) // 8) * 8
+    ones = ((1 << width * slots) - 1) // ((1 << width) - 1)  # a 1 in each slot
+    return width, ones << bits, ~(ones * ((2 << bits) - 1))
+
+
+def _coefficient_bound(r: int, m: int, depth: int) -> int:
+    """A bound on |coefficient| for every dividend and quotient of
+    _sym_chern_polys(r, m, top), depth = min(R, top).
+
+    The L1 norm (sum of |coefficients|) is subadditive and submultiplicative,
+    L1(c_i) = 1, and an exact division by k divides it by k; so each of the
+    three recurrences, run on L1 norms with every sign +, bounds the norms of
+    what it makes, and does so monotonically in its inputs.  Newton's
+    identities give L1(P_k(E)) <= 2^k - 1 by induction on k, below the power
+    sums of a bundle F with Chern roots (2, 0, ..., 0).  The Adams recurrence
+    is exact for F, so L1(P_j(Sym^s E)) <= P_j(Sym^s F), whose roots are 2a_1
+    over the a in N^r with |a| = s.  a -> a + (m - s, 0, ..., 0) maps these
+    one-to-one to roots of Sym^m F, none smaller, and the nonzero roots are at
+    least 2, so each Adams dividend s P_j(Sym^s E), j <= depth, is at most
+    m P_depth(Sym^m F).  Newton's identities inverted, with every sign + and
+    P_i(Sym^m F) in place of the L1 norms, bound each dividend k c_k(Sym^m E)
+    by u_k below.  A quotient is at most its dividend.
+    """
+    # mult[a]: how many roots of Sym^m F equal 2a
+    mult = [int(a == m) if r == 1 else comb(m - a + r - 2, r - 2) for a in range(m + 1)]
+    power = [comb(m + r - 1, r - 1)] + [sum(c * (2 * a) ** j for a, c in enumerate(mult)) for j in range(1, depth + 1)]
+    bound = m * power[depth]
+    chern = [1]
+    for k in range(1, depth + 1):
+        u = sum(map(mul, chern[::-1], power[1 : k + 1]))
+        bound = max(bound, u)
+        chern.append(u // k)
+    return bound
 
 
 @lru_cache(maxsize=None)
@@ -96,37 +149,61 @@ def _sym_chern_polys(r: int, m: int, top: int) -> tuple:
     R = binom(m + r - 1, r - 1) its rank, as integer polynomials in the
     classes c_1..c_v of E, v = min(r, top).
 
-    A polynomial is a dict from exponent tuples (length v) to nonzero ints;
-    every one is homogeneous, so stopping at degree top truncates them all.
-    Newton's identities turn c(E) into the power sums P_j(E) of its Chern
-    roots; the Adams recurrence
+    A polynomial is returned as a dict from exponent tuples (length v) to
+    nonzero ints; every one is homogeneous, so stopping at degree top
+    truncates them all.  Newton's identities turn c(E) into the power sums
+    P_j(E) of its Chern roots; the Adams recurrence
 
         s P_j(Sym^s) = sum_{a=1..s} sum_i binom(j, i) a^i P_i(E) P_{j-i}(Sym^(s-a)),
 
     with P_0(Sym^s) = binom(s + r - 1, r - 1), gives the power sums of each
-    Sym^s; Newton's identities again give its Chern classes.  Products are
-    summed in place; every division is exact, checked, and drops the zero
-    terms the sums left.  Results are shared and must not be mutated.
+    Sym^s; Newton's identities again give its Chern classes.
+
+    While working, a polynomial of degree d <= depth = min(R, top) is a dict
+    from the exponents of c_4..c_v, packed base top + 1, to one int; the
+    exponent of c_1 is d less the weighted others and is dropped, and the
+    coefficient of c_2^a c_3^b is the balanced W-bit digit at slot a + S b,
+    S = depth // 2 + 1 (Kronecker substitution; slots are kept only for the
+    classes E has).  Putting c_1 = 1, c_2 = 2^W and c_3 = 2^(W S) is a ring
+    map, so sums and products of these ints are exact for any W, and a
+    product is one big-int multiplication; every product has degree
+    <= depth, so a <= depth // 2 < S and no two monomials share a slot.
+    Only the divisions and the final unpack read digits.  Every dividend
+    (s P_j(Sym^s) and k c_k(Sym^m)) and quotient has coefficients below 2^B,
+    B the bit length of _coefficient_bound, and W is
+    B + bitlength(max(m, depth)) + 1 rounded up to whole bytes, so a digit
+    is the coefficient it packs.  A quotient q whose digits all lie in
+    [-2^B, 2^B) gives k q digits below max(m, depth) 2^B < 2^(W-1) in
+    magnitude, which must be the dividend's own, so every coefficient
+    divided (_exact_div).  Products are summed in place; every division is
+    exact, checked, and drops the zero values the sums left.  Results are
+    shared and must not be mutated.
     """
     nvars = min(r, top)
     depth = min(comb(m + r - 1, r - 1), top)
-    # exponents are packed base top + 1 while working: no exponent of a
-    # monomial of degree <= top exceeds top, so adding keys multiplies
-    # monomials without carries
+    max_a = depth // 2 if nvars > 1 else 0  # highest exponents of c_2 and c_3
+    max_b = depth // 3 if nvars > 2 else 0
+    stride = max_a + 1
+    slots = stride * (max_b + 1)
+    bits = _coefficient_bound(r, m, depth).bit_length()
+    width, half, high = _packing(bits, max(m, depth), slots)
+    # no exponent of a monomial of degree <= top exceeds top, so adding keys
+    # multiplies monomials without carries
     base = top + 1
     unit = 0
-
-    def c(i):  # c_i of E as a polynomial, i <= nvars
-        return {base ** (i - 1): 1}
+    # c_i of E for i <= nvars: c_1 is the implied exponent, c_2 and c_3 are
+    # digits, c_4.. are keys
+    c = [None, {unit: 1}, {unit: 1 << width}, {unit: 1 << width * stride}]
+    c += [{base ** (i - 4): 1} for i in range(4, nvars + 1)]
 
     # Newton: P_k = sum_{i<k} (-1)^(i-1) c_i P_{k-i} + (-1)^(k-1) k c_k
     power_e = [{unit: r}]
     for k in range(1, depth + 1):
         acc = {}
         for i in range(1, min(k - 1, nvars) + 1):
-            _poly_addmul(acc, c(i), power_e[k - i], (-1) ** (i - 1))
+            _poly_addmul(acc, c[i], power_e[k - i], (-1) ** (i - 1))
         if k <= nvars:
-            _poly_add(acc, c(k), (-1) ** (k - 1) * k)
+            _poly_add(acc, c[k], (-1) ** (k - 1) * k)
         power_e.append(acc)
 
     sym = [[{unit: 1}] + [{}] * depth]  # sym[s][j] = P_j(Sym^s E)
@@ -139,7 +216,7 @@ def _sym_chern_polys(r: int, m: int, top: int) -> tuple:
                 for b in range(s):
                     _poly_add(w, sym[b][j - i], (s - b) ** i)
                 _poly_addmul(acc, power_e[i], w, comb(j, i))
-            row.append(_exact_div(acc, s))
+            row.append(_exact_div(acc, s, half, high))
         sym.append(row)
 
     # Newton, inverted: k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} P_i
@@ -149,10 +226,26 @@ def _sym_chern_polys(r: int, m: int, top: int) -> tuple:
         acc = {}
         for i in range(1, k + 1):
             _poly_addmul(acc, chern[k - i], power[i], (-1) ** (i - 1))
-        chern.append(_exact_div(acc, k))
-    return tuple(
-        {tuple(e // base**i % base for i in range(nvars)): c for e, c in p.items()} for p in chern[1:]
-    )
+        chern.append(_exact_div(acc, k, half, high))
+
+    # unpack each value once: every digit of a quotient lies in
+    # [-2^B, 2^B), so adding half leaves the unsigned digit + 2^B in its bytes
+    size, bias = width // 8, 1 << bits
+    out = []
+    for d, p in enumerate(chern[1:], 1):
+        poly = {}
+        for key, value in p.items():
+            rest = tuple(key // base**i % base for i in range(nvars - 3))  # exponents of c_4..c_v
+            free = d - sum(i * e for i, e in enumerate(rest, 4))
+            data = (value + half).to_bytes(slots * size, "little")
+            for b in range(min(free // 3, max_b) + 1):
+                for a in range(min((free - 3 * b) // 2, max_a) + 1):
+                    t = (a + stride * b) * size
+                    digit = int.from_bytes(data[t : t + size], "little") - bias
+                    if digit:
+                        poly[(free - 2 * a - 3 * b, a, b)[:nvars] + rest] = digit
+        out.append(poly)
+    return tuple(out)
 
 
 class ChernVector(_Record):

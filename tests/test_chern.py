@@ -14,7 +14,9 @@ import pytest
 from curvecount.chern import (
     ChernVector,
     GrassRing,
+    _coefficient_bound,
     _exact_div,
+    _packing,
     _sym_chern_polys,
     direct_sum,
     dual_bundle,
@@ -83,12 +85,27 @@ def test_sym_chern_truncates_at_top_degree():
     assert all(len(expo) == 2 for p in _sym_chern_polys(3, 2, 2) for expo in p)
 
 
+def _packed(*digits, width=8):
+    return sum(d << width * i for i, d in enumerate(digits))
+
+
 def test_exact_division_checks_remainders():
-    assert _exact_div({(2, 0): 6, (0, 1): -4}, 2) == {(2, 0): 3, (0, 1): -2}
+    # 8-bit slots holding digits below 2^5 in magnitude, divided by up to 3
+    width, half, high = _packing(5, 3, 2)
+    assert width == 8
+    assert _exact_div({0: _packed(6, -4)}, 2, half, high) == {0: _packed(3, -2)}
     # the in-place sums leave cancelled terms behind; the division drops them
-    assert _exact_div({(1, 0): 0, (0, 1): 4}, 2) == {(0, 1): 2}
+    assert _exact_div({1: 0, 2: _packed(4)}, 2, half, high) == {2: _packed(2)}
     with pytest.raises(ArithmeticError):
-        _exact_div({(2, 0): 6, (0, 1): 3}, 2)
+        _exact_div({0: _packed(6, 3)}, 2, half, high)
+    with pytest.raises(ArithmeticError):
+        _exact_div({0: _packed(7)}, 2, half, high)
+    # 513 = 1 + 2 * 2^8 = 3 * 171 divides, though neither digit does
+    assert _packed(1, 2) == 513 and 513 % 3 == 0
+    with pytest.raises(ArithmeticError):
+        _exact_div({0: 513}, 3, half, high)
+    assert _exact_div({0: _packed(3, 6)}, 3, half, high) == {0: 513}
+    assert _exact_div({0: _packed(-3, -30)}, 3, half, high) == {0: _packed(-1, -10)}
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
@@ -137,6 +154,13 @@ def test_every_wide_sym_chern_polynomial_is_pinned():
     # the keys the pin above misses: ranks 5 and 6, whose polynomials hold
     # c_4..c_6, and powers up to the DSL's cap of 12, truncated at top <= 12
     assert _digest(_wide_keys()) == (221, "291f56d5f7fdf2f29e6aed2d6373adc21deab046f875f3fdf292d1a269aeedcf")
+
+
+def test_coefficient_bound_covers_every_pinned_coefficient():
+    for r, m, top in (*_pinned_keys(), *_wide_keys()):
+        bound = _coefficient_bound(r, m, min(math.comb(m + r - 1, r - 1), top))
+        for p in _sym_chern_polys(r, m, top):
+            assert all(abs(c) <= bound for c in p.values()), (r, m, top)
 
 
 @pytest.mark.parametrize("k,n,m,count", [(3, 8, 4, 3297280), (4, 9, 3, 321489), (3, 10, 5, 420760566875)])
