@@ -744,7 +744,7 @@ def _check_size(query: Query) -> None:
     ctx = query.context
     if not isinstance(ctx, (GrassContext, BundleContext)):
         raise EvalError(f"not a context node: {ctx!r}")
-    if not 0 < ctx.k < ctx.n:
+    if not 0 < _int_leaf(ctx.k, "context k") < _int_leaf(ctx.n, "context n"):
         return  # not a Grassmannian; _resolve_context reports it
     dim = ctx.k * (ctx.n - ctx.k)
     if dim > MAX_DIMENSION:
@@ -764,11 +764,13 @@ def _value(query: Query):
 def evaluate(query) -> EvalResult:
     """Evaluate a query string or parsed Query against its own context.
 
-    A query past one of the size caps (see the module docstring) raises
-    EvalError before any computation starts.
+    A query past one of the size caps (see the module docstring), or an
+    argument that is neither, raises EvalError before any computation starts.
     """
     if isinstance(query, str):
         query = parse(query)
+    if type(query) is not Query:
+        raise EvalError(f"not a query: {query!r}")
     try:
         _check_size(query)
         value = _value(query)

@@ -711,6 +711,9 @@ def test_hand_built_non_integers_never_find_their_twins_entry(query, twin):
         (ChernOf(1, Sigma((1,))), GrassContext(2, 4), "not a bundle node: Sigma(parts=(1,))"),
         (ChernOf(1, Sum((BundleAtom("S"), Sigma((1,))))), GrassContext(2, 4), "not a bundle node: Sigma(parts=(1,))"),
         (Sigma((1,)), Sigma((1,)), "not a context node: Sigma(parts=(1,))"),
+        (IntLit(1), BundleContext(BundleAtom("S"), 2, "4"), "context n must be an integer, got '4'"),
+        (IntLit(1), GrassContext("2", 4), "context k must be an integer, got '2'"),
+        (IntLit(1), GrassContext(2.0, 4), "context k must be an integer, got 2.0"),
     ],
 )
 def test_hand_built_leaves_that_are_not_ints_are_eval_errors(expr, context, message):
@@ -721,6 +724,13 @@ def test_hand_built_leaves_that_are_not_ints_are_eval_errors(expr, context, mess
     with pytest.raises(EvalError) as err:
         evaluate(Query(expr, context))
     assert err.value.args[0] == message
+
+
+@pytest.mark.parametrize("query", [None, 42, b"integrate(sigma[1]) in G(2,4)", (IntLit(1), GrassContext(2, 4))])
+def test_evaluate_refuses_what_is_neither_text_nor_a_query(query):
+    with pytest.raises(EvalError) as err:
+        evaluate(query)
+    assert err.value.args[0] == f"not a query: {query!r}"
 
 
 def _counting_partitions(monkeypatch):
