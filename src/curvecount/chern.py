@@ -8,8 +8,9 @@ scale the j-th power sum by a^j) give those of Sym^m E through a recurrence,
 and Newton's identities again give its Chern classes.  That runs once per
 (rank, power, degree) on integer polynomials in c_1..c_r, keeping only
 degrees up to the target ring's top degree; a class is substituted into
-the Grassmannian ring or a projective-bundle ring on its first read.  See
-Fulton, Intersection Theory, ch. 3, and Katz and Stromme's Schubert package.
+the Grassmannian ring or a projective-bundle ring on its first read, by
+Horner's rule in c_1 (Knuth, TAOCP vol. 2, sec. 4.6.4).  See Fulton,
+Intersection Theory, ch. 3, and Katz and Stromme's Schubert package.
 
 All coefficients are arbitrary-precision integers.  While the polynomials
 are computed they are packed by Kronecker substitution (Kronecker 1882; see
@@ -213,9 +214,10 @@ def _sym_chern_polys(r: int, m: int, top: int) -> tuple:
             acc = {}
             for i in range(j + 1):
                 w = {}
-                for b in range(s):
+                for b in range(0 if i == j else 1, s):  # P_d(Sym^0) = 0 for d > 0
                     _poly_add(w, sym[b][j - i], (s - b) ** i)
-                _poly_addmul(acc, power_e[i], w, comb(j, i))
+                if w:
+                    _poly_addmul(acc, power_e[i], w, comb(j, i))
             row.append(_exact_div(acc, s, half, high))
         sym.append(row)
 
@@ -343,16 +345,21 @@ class _SymClasses(Sequence):
     as their tuple (len, indexing, iteration, ==, repr, pickling; no hash).
 
     Class i is its polynomial evaluated at the base classes on first read,
-    then stored; each monomial of degree two or more is one ring product of
-    a smaller monomial and one base class, memoised across all classes.  Two
-    threads racing on one class store the same value twice.
+    then stored.  The polynomial is p = sum_e c_1^e R_e(c_2..c_v), evaluated
+    by Horner's rule in c_1: acc = R_E, then acc = acc c_1 + R_e for e = E-1
+    down to 0.  Each monomial of R_e of degree two or more is one ring
+    product of a smaller monomial and one of c_2..c_v, memoised across all
+    classes; the memo holds no power of c_1.  Two threads racing on one
+    class store the same value twice.
     """
 
     __slots__ = ("_ring", "_polys", "_base", "_memo", "_values")
 
     def __init__(self, ring, polys: tuple, base, nvars: int):
         self._ring, self._polys, self._base = ring, polys, base
-        self._memo = {tuple(int(j == i) for j in range(nvars)): base[i] for i in range(nvars)}
+        # keyed by the exponents of c_2..c_v
+        self._memo = {tuple(int(j == i) for j in range(1, nvars)): base[i] for i in range(1, nvars)}
+        self._memo[(0,) * (nvars - 1)] = ring.one()
         self._values = [None] * len(polys)
 
     def __len__(self):
@@ -363,9 +370,16 @@ class _SymClasses(Sequence):
             return tuple(self)[i]
         value = self._values[i]
         if value is None:
-            value = self._ring.zero()
+            rests = {}  # exponent of c_1 -> the terms of R_e
             for expo, coeff in self._polys[i].items():
-                value = value + coeff * self._monomial(expo)
+                rests.setdefault(expo[0], []).append((expo[1:], coeff))
+            high = max(rests, default=0)  # an empty polynomial (c_1 of Sym^0) is zero
+            value = self._ring.zero()
+            for e in range(high, -1, -1):
+                if e < high:
+                    value = value * self._base[0]
+                for rest, coeff in rests.get(e, ()):
+                    value = value + coeff * self._monomial(rest)
             self._values[i] = value
         return value
 
@@ -377,7 +391,7 @@ class _SymClasses(Sequence):
             expo = expo[:i] + (expo[i] - 1,) + expo[i + 1 :]
         value = memo[expo]
         for expo, i in reversed(chain):
-            value = memo[expo] = value * self._base[i]
+            value = memo[expo] = value * self._base[i + 1]
         return value
 
     def __eq__(self, other):
@@ -445,11 +459,13 @@ def direct_sum(*bundles: ChernVector) -> ChernVector:
 def whitney_quotient(f: ChernVector, s: ChernVector) -> ChernVector:
     """Chern vector of the quotient in 0 -> S -> F -> Q -> 0.
 
-    Computed as the power-series quotient c(F)/c(S) through the ring's top
-    degree.  A nonzero class above the quotient rank means no such bundle
-    exists, which raises ValueError.  The division is re-checked by
-    multiplying back through the top degree; a mismatch means the series
-    arithmetic is broken and raises ArithmeticError.
+    The power-series quotient c(F)/c(S) through the ring's top degree,
+    solved degree by degree from c(S) c(Q) = c(F) as
+    q_d = f_d - sum_{i=1..d} s_i q_{d-i}.  A nonzero class above the
+    quotient rank means no such bundle exists, which raises ValueError.  The
+    division is re-checked by multiplying back through the top degree; a
+    mismatch means the series arithmetic is broken and raises
+    ArithmeticError.
     """
     ring = f.ring
     if s.ring != ring:
@@ -458,12 +474,18 @@ def whitney_quotient(f: ChernVector, s: ChernVector) -> ChernVector:
     if rank <= 0:
         raise ValueError(f"sub-bundle rank {s.rank} must be smaller than total rank {f.rank}")
     top = ring.top_degree
-    sub = s.total_series(top)
-    quot = _series_mul(f.total_series(top), _series_inv(sub, ring, top), ring, top)
+    sub, total = s.total_series(top), f.total_series(top)
+    quot = [ring.one()]  # q_d's term s_d q_0 = s_d is subtracted, not multiplied
+    for d in range(1, top + 1):
+        acc = total[d] - sub[d]
+        for i in range(1, d):
+            if sub[i] and quot[d - i]:
+                acc = acc - sub[i] * quot[d - i]
+        quot.append(acc)
     depth = min(rank, top)
     if any(quot[depth + 1 :]):
         raise ValueError(f"c(F)/c(S) has classes above degree {rank}: not a bundle of rank {rank}")
-    if _series_mul(sub, quot, ring, top) != f.total_series(top):
+    if _series_mul(sub, quot, ring, top) != total:
         raise ArithmeticError("Whitney series division failed its own check")
     return ChernVector(ring, rank, tuple(quot[1 : depth + 1]))
 

@@ -17,6 +17,8 @@ from curvecount.chern import (
     _coefficient_bound,
     _exact_div,
     _packing,
+    _series_inv,
+    _series_mul,
     _sym_chern_polys,
     direct_sum,
     dual_bundle,
@@ -26,7 +28,8 @@ from curvecount.chern import (
     whitney_quotient,
 )
 import curvecount
-from curvecount import schubert
+from curvecount import chern, schubert
+from curvecount.projbundle import ProjBundleRing
 from curvecount.schubert import GrassCtx, SchubertCycle
 
 R25 = GrassRing(GrassCtx(2, 5))
@@ -254,6 +257,60 @@ def test_threads_reading_one_sym_power_agree():
     assert results == [tuple(_sym4_on_g38().classes)] * len(orders)
 
 
+def _plainly(vector, base, m):
+    # each class as sum coeff * prod c_i^e_i of its polynomial: no shared
+    # monomials, no Horner's rule
+    ring = vector.ring
+    out = []
+    for p in _sym_chern_polys(base.rank, m, len(vector.classes)):
+        acc = ring.zero()
+        for expo, coeff in p.items():
+            term = ring.one()
+            for c, e in zip(base.classes, expo):
+                if e:
+                    term = term * c**e
+            acc = acc + coeff * term
+        out.append(acc)
+    return tuple(out)
+
+
+def _sym_cases():
+    for k, n in ((2, 5), (3, 6), (4, 8)):
+        ring = GrassRing(GrassCtx(k, n))
+        for which in ("sub", "sub_dual", "quotient"):
+            yield f"{which} on G({k},{n})", ring.tautological(which)
+    pb = ProjBundleRing(sym_power(R35.tautological("sub_dual"), 2))
+    yield "sub_dual on P(Sym^2 S*) over G(3,5)", pb.pullback(R35.tautological("sub_dual"))
+
+
+@pytest.mark.parametrize("m", range(5))
+@pytest.mark.parametrize("base", [pytest.param(base, id=name) for name, base in _sym_cases()])
+def test_sym_power_classes_equal_their_polynomials_summed_plainly(base, m):
+    plain = _plainly(sym_power(base, m), base, m)
+    assert tuple(sym_power(base, m).classes) == plain  # ascending
+    backward = sym_power(base, m).classes
+    assert tuple(backward[i] for i in reversed(range(len(plain)))) == plain[::-1]
+    assert sym_power(base, m).classes[-1] == plain[-1]  # the top class alone
+
+
+def test_plane_counts_need_few_ring_products(monkeypatch):
+    # Horner's rule in c_1 substitutes the three planes counts' top classes
+    # with 162 ring products; one product per monomial takes 384
+    calls = []
+    inner = schubert.multiply
+
+    def counting(a, b):
+        calls.append(1)
+        return inner(a, b)
+
+    monkeypatch.setattr(schubert, "multiply", counting)
+    schubert._PRODUCTS.clear()
+    for k, n, m in ((3, 8, 4), (4, 9, 3), (3, 10, 5)):
+        v = sym_power(GrassRing(GrassCtx(k, n)).tautological("sub_dual"), m)
+        v.c(v.rank)
+    assert len(calls) <= 170
+
+
 def test_chern_vector_indexing():
     e = R25.tautological("sub_dual")
     assert e.rank == 2
@@ -313,6 +370,32 @@ def test_quotient_that_is_no_bundle_is_rejected():
     sdual = R25.tautological("sub_dual")
     with pytest.raises(ValueError, match="not a bundle of rank 1"):
         whitney_quotient(sym_power(sdual, 2), sdual)
+
+
+def test_quotient_division_is_checked_by_multiplying_back(monkeypatch):
+    q = R25.tautological("quotient")
+    whitney_quotient(sym_power(q, 3), q)
+    inner = chern._series_mul
+
+    def perturbed(a, b, ring, top):
+        out = inner(a, b, ring, top)
+        out[2] = out[2] + ring.schubert((2,))
+        return out
+
+    monkeypatch.setattr(chern, "_series_mul", perturbed)
+    with pytest.raises(ArithmeticError, match="failed its own check"):
+        whitney_quotient(sym_power(q, 3), q)
+
+
+def test_quotient_division_equals_multiplying_by_the_inverse():
+    # the conic recipe's pair for a quintic: Sym^5 S* over Sym^3 S* (x) O(-1)
+    ring = ProjBundleRing(sym_power(R35.tautological("sub_dual"), 2))
+    sdual = ring.pullback(R35.tautological("sub_dual"))
+    f, s = sym_power(sdual, 5), tensor_line(sym_power(sdual, 3), -ring.zeta(1))
+    top = ring.top_degree
+    quot = whitney_quotient(f, s)
+    assert quot.rank == top == 11
+    assert quot.total_series(top) == _series_mul(f.total_series(top), _series_inv(s.total_series(top), ring, top), ring, top)
 
 
 def test_tensor_line_c1_shift():
