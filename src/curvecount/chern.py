@@ -20,9 +20,10 @@ per monomial, so a product is one big-int multiplication; W comes from a
 proven coefficient bound, and no float is involved.  Products are summed in
 place, and every division is exact, checks every packed coefficient, raises
 on a remainder and drops zero terms.  Ring elements are immutable.  A
-bundle's classes are a tuple, or for a symmetric power a sequence filled
-class by class on first read; a fill is idempotent, so it is safe to share
-across threads, as is the polynomial cache, a functools.lru_cache.
+bundle's classes are a tuple, or for a symmetric power or a Whitney sum a
+sequence filled class by class on first read, a sum's class from only the
+degrees of its partial sums that it needs; a fill is idempotent, so it is
+safe to share across threads, as is the functools.lru_cache of polynomials.
 """
 
 from __future__ import annotations
@@ -256,7 +257,8 @@ class ChernVector(_Record):
     classes[i] is c_{i+1}, stored for i < min(rank, top degree); c_0 is the
     ring unit implicitly, and classes above the ring's top degree vanish and
     are not stored, so rank may be arbitrarily large.  classes is a sequence
-    equal to the tuple of the classes; a symmetric power fills it on read.
+    equal to the tuple of the classes; a symmetric power or a Whitney sum
+    fills it on read.
 
     The ring is a handle (GrassRing or ProjBundleRing) with top_degree,
     one(), zero() and integrate(x), the integer degree of the top-degree
@@ -340,27 +342,13 @@ def sym_power(e: ChernVector, m: int) -> ChernVector:
     return ChernVector(ring, rank, _SymClasses(ring, polys, e.classes, min(e.rank, top)))
 
 
-class _SymClasses(Sequence):
-    """The classes of a symmetric power: a read-only sequence that behaves
-    as their tuple (len, indexing, iteration, ==, repr, pickling; no hash).
+class _LazyClasses(Sequence):
+    """A bundle's classes, each made by _fill(i) on its first read and kept:
+    a read-only sequence that behaves as their tuple (len, indexing,
+    iteration, ==, repr, pickling; no hash).  Threads racing on one class
+    store the same value twice."""
 
-    Class i is its polynomial evaluated at the base classes on first read,
-    then stored.  The polynomial is p = sum_e c_1^e R_e(c_2..c_v), evaluated
-    by Horner's rule in c_1: acc = R_E, then acc = acc c_1 + R_e for e = E-1
-    down to 0.  Each monomial of R_e of degree two or more is one ring
-    product of a smaller monomial and one of c_2..c_v, memoised across all
-    classes; the memo holds no power of c_1.  Two threads racing on one
-    class store the same value twice.
-    """
-
-    __slots__ = ("_ring", "_polys", "_base", "_memo", "_values")
-
-    def __init__(self, ring, polys: tuple, base, nvars: int):
-        self._ring, self._polys, self._base = ring, polys, base
-        # keyed by the exponents of c_2..c_v
-        self._memo = {tuple(int(j == i) for j in range(1, nvars)): base[i] for i in range(1, nvars)}
-        self._memo[(0,) * (nvars - 1)] = ring.one()
-        self._values = [None] * len(polys)
+    __slots__ = ("_values",)
 
     def __len__(self):
         return len(self._values)
@@ -370,17 +358,52 @@ class _SymClasses(Sequence):
             return tuple(self)[i]
         value = self._values[i]
         if value is None:
-            rests = {}  # exponent of c_1 -> the terms of R_e
-            for expo, coeff in self._polys[i].items():
-                rests.setdefault(expo[0], []).append((expo[1:], coeff))
-            high = max(rests, default=0)  # an empty polynomial (c_1 of Sym^0) is zero
-            value = self._ring.zero()
-            for e in range(high, -1, -1):
-                if e < high:
-                    value = value * self._base[0]
-                for rest, coeff in rests.get(e, ()):
-                    value = value + coeff * self._monomial(rest)
-            self._values[i] = value
+            value = self._values[i] = self._fill(i % len(self._values))
+        return value
+
+    def __iter__(self):  # map, not a generator: one frame less per level of a deep read
+        return map(self.__getitem__, range(len(self._values)))
+
+    def __eq__(self, other):
+        return tuple(self) == tuple(other) if isinstance(other, (tuple, _LazyClasses)) else NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return repr(tuple(self))
+
+    def __reduce__(self):
+        return tuple, (tuple(self),)
+
+
+class _SymClasses(_LazyClasses):
+    """The classes of a symmetric power: class i is its polynomial
+    p = sum_e c_1^e R_e(c_2..c_v) at the base classes, by Horner's rule in
+    c_1: acc = R_E, then acc = acc c_1 + R_e for e = E-1 down to 0.  Each
+    monomial of R_e of degree two or more is one ring product of a smaller
+    monomial and one of c_2..c_v, memoised across all classes; the memo
+    holds no power of c_1."""
+
+    __slots__ = ("_ring", "_polys", "_base", "_memo")
+
+    def __init__(self, ring, polys: tuple, base, nvars: int):
+        self._ring, self._polys, self._base = ring, polys, base
+        self._values = [None] * len(polys)
+        # keyed by the exponents of c_2..c_v
+        self._memo = {tuple(int(j == i) for j in range(1, nvars)): base[i] for i in range(1, nvars)}
+        self._memo[(0,) * (nvars - 1)] = ring.one()
+
+    def _fill(self, i):
+        rests = {}  # exponent of c_1 -> the terms of R_e
+        for expo, coeff in self._polys[i].items():
+            rests.setdefault(expo[0], []).append((expo[1:], coeff))
+        high = max(rests, default=0)  # an empty polynomial (c_1 of Sym^0) is zero
+        value = self._ring.zero()
+        for e in range(high, -1, -1):
+            if e < high:
+                value = value * self._base[0]
+            for rest, coeff in rests.get(e, ()):
+                value = value + coeff * self._monomial(rest)
         return value
 
     def _monomial(self, expo):
@@ -394,16 +417,38 @@ class _SymClasses(Sequence):
             value = memo[expo] = value * self._base[i + 1]
         return value
 
-    def __eq__(self, other):
-        return tuple(self) == tuple(other) if isinstance(other, (tuple, _SymClasses)) else NotImplemented
 
-    __hash__ = None
+class _SumClasses(_LazyClasses):
+    """The classes of a Whitney sum A_1 + ... + A_n, n >= 2, through one memo
+    per partial sum S_j = A_1 + ... + A_j: c(S_j) = c(S_{j-1}) c(A_j).  Class
+    d asks S_j only for degrees max(1, d - sum_{l>j} depth_l) ..
+    min(d, sum_{l<=j} depth_l), depth = len(classes), filled bottom-up in a
+    loop, not by recursion per summand; so c_top of a sum whose rank is the
+    top degree is the product of top classes, n - 1 ring products.  As in
+    _series_mul, c_0 terms are added and products with a zero class skipped."""
 
-    def __repr__(self):
-        return repr(tuple(self))
+    __slots__ = ("_ring", "_parts", "_memos")
 
-    def __reduce__(self):
-        return tuple, (tuple(self),)
+    def __init__(self, ring, bundles: tuple, depth: int):
+        self._ring, self._values = ring, [None] * depth
+        # a summand that is itself a sum gives its summands, so reads of nested sums do not recurse
+        self._parts = [p for b in bundles for p in (b.classes._parts if type(b.classes) is _SumClasses else (b.classes,))]
+        self._memos = [{} for _ in self._parts]  # _memos[j][e] = c_e(S_j), e >= 1
+
+    def _fill(self, i):
+        d, ahead, below, prev = i + 1, sum(map(len, self._parts)), 0, None
+        for part, memo in zip(self._parts, self._memos):
+            depth = len(part)
+            ahead -= depth
+            for e in range(max(1, d - ahead), min(d, below + depth) + 1):
+                if e not in memo:
+                    terms = ([prev[e]] if e <= below else []) + ([part[e - 1]] if e <= depth else [])
+                    for k in range(max(1, e - depth), min(e - 1, below) + 1):
+                        if prev[k] and part[e - k - 1]:
+                            terms.append(prev[k] * part[e - k - 1])
+                    memo[e] = sum(terms[1:], terms[0]) if terms else self._ring.zero()
+            below, prev = below + depth, memo
+        return prev[d]
 
 
 def dual_bundle(e: ChernVector) -> ChernVector:
@@ -439,21 +484,20 @@ def tensor_line(e: ChernVector, ell) -> ChernVector:
 
 
 def direct_sum(*bundles: ChernVector) -> ChernVector:
-    """Whitney sum: total classes multiply.  A single summand is returned
-    unchanged."""
+    """Whitney sum: total classes multiply, each class on its first read
+    (_SumClasses).  A single summand is returned unchanged."""
     if not bundles:
         raise ValueError("need at least one summand")
+    for b in bundles:
+        if not isinstance(b, ChernVector):
+            raise ValueError(f"summands must be Chern vectors, got {b!r}")
     if len(bundles) == 1:
         return bundles[0]
     ring = bundles[0].ring
     if any(b.ring != ring for b in bundles):
         raise ValueError("summands live in different rings")
     rank = sum(b.rank for b in bundles)
-    top = min(rank, ring.top_degree)
-    series = bundles[0].total_series(top)
-    for b in bundles[1:]:
-        series = _series_mul(series, b.total_series(top), ring, top)
-    return ChernVector(ring, rank, tuple(series[1:]))
+    return ChernVector(ring, rank, _SumClasses(ring, bundles, min(rank, ring.top_degree)))
 
 
 def whitney_quotient(f: ChernVector, s: ChernVector) -> ChernVector:

@@ -175,12 +175,9 @@ def test_plane_counts(k, n, m, count):
     assert ring.integrate(bundle.c(bundle.rank)) == count
 
 
-def _sym4_on_g38():
-    return sym_power(GrassRing(GrassCtx(3, 8)).tautological("sub_dual"), 4)
-
-
-def test_one_class_of_a_sym_power_costs_only_its_own_products(monkeypatch):
-    # the planes counts read c_top alone; the other 14 classes are never substituted
+@pytest.fixture
+def multiply_calls(monkeypatch):
+    """A list that gains one entry per schubert.multiply call."""
     calls = []
     inner = schubert.multiply
 
@@ -189,6 +186,16 @@ def test_one_class_of_a_sym_power_costs_only_its_own_products(monkeypatch):
         return inner(a, b)
 
     monkeypatch.setattr(schubert, "multiply", counting)
+    return calls
+
+
+def _sym4_on_g38():
+    return sym_power(GrassRing(GrassCtx(3, 8)).tautological("sub_dual"), 4)
+
+
+def test_one_class_of_a_sym_power_costs_only_its_own_products(multiply_calls):
+    # the planes counts read c_top alone; the other 14 classes are never substituted
+    calls = multiply_calls
     schubert._PRODUCTS.clear()
     v = _sym4_on_g38()
     top = v.c(15)
@@ -237,10 +244,16 @@ def test_sym_power_classes_behave_as_their_tuple():
             hash(value)
 
 
-def test_threads_reading_one_sym_power_agree():
-    v = _sym4_on_g38()
+def _sum_on_g38():
+    ring = GrassRing(GrassCtx(3, 8))
+    return direct_sum(ring.tautological("quotient"), _sym4_on_g38(), ring.tautological("sub_dual"))
+
+
+@pytest.mark.parametrize("make", [_sym4_on_g38, _sum_on_g38])
+def test_threads_reading_one_lazy_vector_agree(make):
+    v = make()
     orders = [list(range(15)), list(range(14, -1, -1)), list(range(0, 15, 2)) + list(range(1, 15, 2))]
-    orders.append(random.Random(4).sample(range(15), 15))
+    orders += [random.Random(t).sample(range(15), 15) for t in (4, 5, 6)]
     barrier = threading.Barrier(len(orders))
     results = [None] * len(orders)
 
@@ -250,11 +263,17 @@ def test_threads_reading_one_sym_power_agree():
         results[t] = tuple(got[i] for i in range(15))
 
     threads = [threading.Thread(target=read, args=(t,)) for t in range(len(orders))]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    assert results == [tuple(_sym4_on_g38().classes)] * len(orders)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the fills
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [tuple(make().classes)] * len(orders)
 
 
 def _plainly(vector, base, m):
@@ -293,17 +312,10 @@ def test_sym_power_classes_equal_their_polynomials_summed_plainly(base, m):
     assert sym_power(base, m).classes[-1] == plain[-1]  # the top class alone
 
 
-def test_plane_counts_need_few_ring_products(monkeypatch):
+def test_plane_counts_need_few_ring_products(multiply_calls):
     # Horner's rule in c_1 substitutes the three planes counts' top classes
     # with 162 ring products; one product per monomial takes 384
-    calls = []
-    inner = schubert.multiply
-
-    def counting(a, b):
-        calls.append(1)
-        return inner(a, b)
-
-    monkeypatch.setattr(schubert, "multiply", counting)
+    calls = multiply_calls
     schubert._PRODUCTS.clear()
     for k, n, m in ((3, 8, 4), (4, 9, 3), (3, 10, 5)):
         v = sym_power(GrassRing(GrassCtx(k, n)).tautological("sub_dual"), m)
@@ -495,6 +507,110 @@ def test_direct_sum_rank_and_commutativity():
     ba = direct_sum(b, a)
     assert ab.rank == 5
     assert ab.classes == ba.classes
+
+
+def test_direct_sum_rejects_what_is_not_a_chern_vector():
+    # the classes are read lazily, so every summand is checked at the call
+    e = R25.tautological("sub")
+    for bad in ((5,), (e, 5), (5, e), (e, e.classes)):
+        with pytest.raises(ValueError, match="summands must be Chern vectors"):
+            direct_sum(*bad)
+    with pytest.raises(ValueError, match="need at least one summand"):
+        direct_sum()
+    with pytest.raises(ValueError, match="summands live in different rings"):
+        direct_sum(e, R35.tautological("sub"))
+    assert direct_sum(e) is e
+
+
+def _eager_sum(*bundles):
+    # the Whitney product as one eager fold of total series through the top degree
+    ring = bundles[0].ring
+    rank = sum(b.rank for b in bundles)
+    top = min(rank, ring.top_degree)
+    series = bundles[0].total_series(top)
+    for b in bundles[1:]:
+        series = _series_mul(series, b.total_series(top), ring, top)
+    return ChernVector(ring, rank, tuple(series[1:]))
+
+
+def _summands(ring):
+    s, q = ring.tautological("sub"), ring.tautological("quotient")
+    return [s, ring.tautological("sub_dual"), q, dual_bundle(q), sym_power(ring.tautological("sub_dual"), 2), sym_power(s, 3)]
+
+
+def _sum_cases():
+    rng = random.Random(25)
+    for k, n in ((2, 5), (3, 6), (2, 8), (3, 7)):
+        ring = GrassRing(GrassCtx(k, n))
+        pool = _summands(ring)
+        for size in (2, 3, 4):
+            for _ in range(4):
+                yield f"G({k},{n})", [rng.choice(pool) for _ in range(size)]
+    pb = ProjBundleRing(sym_power(R35.tautological("sub_dual"), 2))
+    zeta = pb.zeta(1)
+    # Sym^3 S* has rank 10, above the base's dimension 6: its c_7..c_10 pull back to zero
+    base = [pb.pullback(b) for b in _summands(R35)] + [pb.pullback(sym_power(R35.tautological("sub_dual"), 3))]
+    twisted = [tensor_line(base[1], zeta), tensor_line(base[2], -zeta), tensor_line(base[4], 2 * zeta)]
+    pool = base + twisted
+    for size in (2, 3, 4):
+        for _ in range(4):
+            yield "P(Sym^2 S*) over G(3,5)", [rng.choice(pool) for _ in range(size)] + [rng.choice(twisted)]
+
+
+@pytest.mark.parametrize("summands", [pytest.param(b, id=f"{name}-{i}") for i, (name, b) in enumerate(_sum_cases())])
+def test_lazy_sums_equal_the_eager_fold(summands):
+    eager = _eager_sum(*summands)
+    depth = len(eager.classes)
+    assert direct_sum(*summands) == eager
+    assert tuple(direct_sum(*summands).classes) == eager.classes  # ascending
+    backward = direct_sum(*summands).classes
+    assert [backward[i] for i in reversed(range(depth))] == list(eager.classes)[::-1]
+    order = random.Random(depth).sample(range(depth), depth)
+    shuffled = direct_sum(*summands).classes
+    got = {i: shuffled[i] for i in order}
+    assert tuple(got[i] for i in range(depth)) == eager.classes
+    assert direct_sum(*summands).classes[-1] == eager.classes[-1]  # the top class alone
+    nested = direct_sum(direct_sum(*summands[:2]), *summands[2:])
+    assert nested.rank == eager.rank and nested.classes == eager.classes
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (3, 6), (2, 8), (3, 7)])
+def test_a_full_read_of_a_sum_costs_no_more_products_than_the_fold(k, n, multiply_calls):
+    calls = multiply_calls
+    pool = _summands(GrassRing(GrassCtx(k, n)))
+    for b in pool:
+        tuple(b.classes)  # fill the symmetric powers first: only the sums are counted
+    calls.clear()
+    for size in (2, 3, 4):
+        summands = pool[:size] + pool[-1:]
+        eager = _eager_sum(*summands).classes
+        fold = len(calls)
+        calls.clear()
+        assert tuple(direct_sum(*summands).classes) == eager
+        assert len(calls) <= fold
+        calls.clear()
+
+
+def test_the_top_class_of_a_sum_is_the_product_of_top_classes(multiply_calls):
+    # rank 3 * 2 = 6 = dim G(2,5): c_6 of S* + S* + S* is c_2(S*)^3 = sigma[3,3],
+    # two ring products, where the fold multiplies out every class
+    parts = [R25.tautological("sub_dual")] * 3
+    top = R25.schubert((3, 3))
+    assert direct_sum(*parts).c(6) == top
+    assert len(multiply_calls) == 2
+    assert _eager_sum(*parts).c(6) == top and len(multiply_calls) > 2 + 2
+
+
+def test_line_counts_need_few_ring_products(multiply_calls):
+    # c_top of a sum whose rank is the dimension is a product of the summands'
+    # top classes: the six classical line counts make 29 ring products, and
+    # 171 when every class of every sum is multiplied out
+    from curvecount.recipes import lines_on_complete_intersection
+
+    schubert._PRODUCTS.clear()
+    counts = [lines_on_complete_intersection(n, d).count for n, d in ((4, (5,)), (3, (3,)), (7, (2, 2, 2, 2)), (6, (2, 2, 3)), (5, (3, 3)), (5, (2, 4)))]
+    assert counts == [2875, 27, 512, 720, 1053, 1280]
+    assert len(multiply_calls) <= 40
 
 
 def test_classes_stop_at_the_top_degree():

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 import re
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from curvecount import dsl
+from curvecount import chern, dsl, schubert
 from curvecount.dsl import (
     Add,
     BundleAtom,
@@ -33,6 +34,7 @@ from curvecount.dsl import (
     parse,
     render,
 )
+from curvecount.schubert import GrassCtx, schubert_class
 
 
 def test_parse_power_over_class():
@@ -620,6 +622,29 @@ def test_deep_bundles_evaluate_alike_cold_and_warm(context):
     cold = evaluate(deep)
     assert evaluate(deep) == cold
     assert cold == evaluate(f"c(1, S) in {context}")
+
+
+def _cold():
+    _clear_caches()
+    schubert._PRODUCTS.clear()
+    chern._sym_chern_polys.cache_clear()
+
+
+@pytest.mark.parametrize("d", range(6))
+def test_a_flat_sum_at_the_rank_cap_evaluates_cold(d):
+    # c(S) = 1 - sigma[1] on G(1,6), so c_d of 500 copies is (-1)^d C(500, d) sigma[d]
+    _cold()
+    got = evaluate(f"c({d}, sum({', '.join(['S'] * dsl.MAX_RANK)})) in G(1,6)")
+    assert got.value == (-1) ** d * math.comb(dsl.MAX_RANK, d) * schubert_class(GrassCtx(1, 6), (d,) if d else ())
+    with pytest.raises(EvalError, match="above the cap"):
+        evaluate(f"c({d}, sum({', '.join(['S'] * (dsl.MAX_RANK + 1))})) in G(1,6)")
+
+
+def test_nested_sums_evaluate_as_the_flat_sum():
+    # a summand that is a sum is read through its summands, with no recursion per level
+    nested = "c(5, " + "sum(" * 300 + "S" + ", S)" * 300 + ") in G(1,6)"
+    _cold()
+    assert evaluate(nested) == evaluate(f"c(5, sum({', '.join(['S'] * 301)})) in G(1,6)")
 
 
 def test_bundles_cached_on_an_evicted_ring_stay_correct():

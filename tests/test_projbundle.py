@@ -291,6 +291,7 @@ def test_series_loops_skip_empty_operands(monkeypatch):
     pairs = [(pulled[d], tensor_line(pulled[d - 2], -pb.zeta(1))) for d in (5, 3)]
     quotients = [whitney_quotient(forms, ideal) for forms, ideal in pairs]
     total = direct_sum(*quotients, pb.pullback(sdual))
+    tuple(total.classes)  # a sum multiplies on read
     sym_power(tensor_line(pb.pullback(sdual), pb.zeta(1)), 2)
     assert operands and all(a and b for a, b in operands)
     assert all(a != pb.one() and b != pb.one() for a, b in operands)
