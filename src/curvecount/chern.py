@@ -311,18 +311,18 @@ def _series_mul(a: list, b: list, ring, top: int) -> list:
     return out
 
 
-def _series_inv(a: list, ring, top: int) -> list:
-    # a runs through degree top; the term a_d * inv_0 = a_d is added
-    if a[0] != ring.one():
-        raise ValueError("total class series must start with the ring unit")
-    inv = [ring.one()]
+def _series_div(num: list, den: list, ring, top: int) -> list:
+    # num / den for series through degree top that start with c_0 = 1, solved
+    # degree by degree as q_d = num_d - sum_{i=1..d} den_i q_{d-i}; the term
+    # den_d q_0 = den_d is subtracted, not multiplied
+    quot = [ring.one()]
     for d in range(1, top + 1):
-        acc = a[d]
+        acc = num[d] - den[d]
         for i in range(1, d):
-            if a[i] and inv[d - i]:
-                acc = acc + a[i] * inv[d - i]
-        inv.append(-acc)
-    return inv
+            if den[i] and quot[d - i]:
+                acc = acc - den[i] * quot[d - i]
+        quot.append(acc)
+    return quot
 
 
 def sym_power(e: ChernVector, m: int) -> ChernVector:
@@ -504,11 +504,10 @@ def whitney_quotient(f: ChernVector, s: ChernVector) -> ChernVector:
     """Chern vector of the quotient in 0 -> S -> F -> Q -> 0.
 
     The power-series quotient c(F)/c(S) through the ring's top degree,
-    solved degree by degree from c(S) c(Q) = c(F) as
-    q_d = f_d - sum_{i=1..d} s_i q_{d-i}.  A nonzero class above the
-    quotient rank means no such bundle exists, which raises ValueError.  The
-    division is re-checked by multiplying back through the top degree; a
-    mismatch means the series arithmetic is broken and raises
+    solved degree by degree from c(S) c(Q) = c(F) (_series_div).  A nonzero
+    class above the quotient rank means no such bundle exists, which raises
+    ValueError.  The division is re-checked by multiplying back through the
+    top degree; a mismatch means the series arithmetic is broken and raises
     ArithmeticError.
     """
     ring = f.ring
@@ -519,13 +518,7 @@ def whitney_quotient(f: ChernVector, s: ChernVector) -> ChernVector:
         raise ValueError(f"sub-bundle rank {s.rank} must be smaller than total rank {f.rank}")
     top = ring.top_degree
     sub, total = s.total_series(top), f.total_series(top)
-    quot = [ring.one()]  # q_d's term s_d q_0 = s_d is subtracted, not multiplied
-    for d in range(1, top + 1):
-        acc = total[d] - sub[d]
-        for i in range(1, d):
-            if sub[i] and quot[d - i]:
-                acc = acc - sub[i] * quot[d - i]
-        quot.append(acc)
+    quot = _series_div(total, sub, ring, top)
     depth = min(rank, top)
     if any(quot[depth + 1 :]):
         raise ValueError(f"c(F)/c(S) has classes above degree {rank}: not a bundle of rank {rank}")
@@ -538,4 +531,4 @@ def segre(e: ChernVector, top: int) -> list:
     """Segre classes s_0..s_top, the formal inverse of the total Chern
     class: s_0 = 1, s_1 = -c_1, s_2 = c_1^2 - c_2, ..."""
     ring = e.ring
-    return _series_inv(e.total_series(top), ring, top)
+    return _series_div([ring.one()] + [ring.zero()] * top, e.total_series(top), ring, top)

@@ -27,24 +27,25 @@ any other non-space character is a syntax error.
 sigma[...] names a Schubert class of the base Grassmannian, zeta the
 hyperplane class of a projective-bundle context, twist(B, p) tensors B
 by the p-th power of O_P(1), and sum(B, ...) is the Whitney sum.  In a
-projective-bundle context a bundle without a twist is computed on the base
-and pulled back once.  Errors carry positions and the expected-token set.
+projective-bundle context each part of a bundle without a twist is computed
+on the base, and pulled back once, where a twisted part needs it or at the
+end.  Errors carry positions and the expected-token set.
 
 Caches.  Four bounded least-recently-used caches live per process;
 cache_info() on each gives its hit counts.  Evaluation keeps three, keyed by
 AST nodes: _resolve_context holds the ring of each context clause,
 _eval_bundle the Chern vector of each whole bundle a query names in each
-context (a bundle without a twist in P(E) is the one of the base), and
-_eval_atom each sigma[...] atom and each power of one, validated, in each
-context.  The fourth, the node table _node, holds the one node the parser
-builds for each distinct context, bundle, sigma[...] atom and power of one,
-so the keys of two parses of a text are the same objects and a cache hit
-compares them by identity; a hand-built key is equal, not the same, and hits
-through the == walk.  The size caps run before any evaluation cache is
-read, and a query that raises stores nothing.  Parts of a bundle are not
-cached, and nodes compare without recursion, so the caches do not lower how
-deep a query may nest.  Sharing them is safe: rings, Chern vectors and nodes
-are immutable, and functools.lru_cache is thread-safe.
+context, and _eval_atom each sigma[...] atom and each power of one,
+validated, in each context.  The fourth, the node table _node, holds the
+one node the parser builds for each distinct context, bundle, sigma[...]
+atom and power of one, so the keys of two parses of a text are the same
+objects and a cache hit compares them by identity; a hand-built key is
+equal, not the same, and hits through the == walk.  The size caps run
+before any evaluation cache is read, and a query that raises stores
+nothing.  Parts of a bundle are not cached: a miss computes each once.
+Nodes compare without recursion, so the caches do not lower how deep a
+query may nest.  Sharing them is safe: rings, Chern vectors and nodes are
+immutable, and functools.lru_cache is thread-safe.
 
 Size caps.  Legal queries can ask for more than a process can compute, so
 evaluate() rejects a query past one of these caps with an EvalError before
@@ -57,9 +58,14 @@ any computation starts:
     MAX_EXPONENT   the exponent of a power times the exponents of the
                    powers around it, so nesting cannot square the cap
 
-A query nested past the interpreter's recursion limit (parentheses, unary
-minus, integrate, dual) is refused too, as a ParseError or an EvalError that
-says it nests too deeply; the length of a sum or product is not nesting.
+Nesting.  The size checks and the evaluator spend one interpreter frame per
+level of nesting, as the parser does for a bundle or a unary minus and more
+for parentheses.  So a query that parses evaluates, cold or warm, within the
+caps and up to a dozen levels short of the parser's limit: the arithmetic
+under the deepest level needs frames of its own.  A query nested past the
+interpreter's recursion limit is refused as a ParseError or an EvalError
+that says it nests too deeply; the length of a sum or product is not
+nesting.
 """
 
 from __future__ import annotations
@@ -507,7 +513,10 @@ def render_bundle(node) -> str:
     if isinstance(node, Quotient):
         return f"quotient({render_bundle(node.numerator)}, {render_bundle(node.denominator)})"
     if isinstance(node, Sum):
-        return "sum(" + ", ".join(render_bundle(b) for b in node.summands) + ")"
+        parts = []
+        for b in node.summands:  # a loop, not a generator: one frame per level
+            parts.append(render_bundle(b))
+        return "sum(" + ", ".join(parts) + ")"
     raise TypeError(f"not a bundle node: {node!r}")
 
 
@@ -555,54 +564,58 @@ def _resolve_context(node):
         raise EvalError(str(exc)) from None
 
 
-def _has_twist(node) -> bool:
-    if isinstance(node, Twist):
-        return True
-    if isinstance(node, Quotient):
-        return _has_twist(node.numerator) or _has_twist(node.denominator)
-    if isinstance(node, Sum):
-        return any(_has_twist(b) for b in node.summands)
-    return isinstance(node, (Sym, Dual)) and _has_twist(node.bundle)
-
-
 @lru_cache(maxsize=_BUNDLE_CACHE_SIZE)
 def _eval_bundle(node, context) -> ChernVector:
     """The Chern vector of a bundle node on the ring of a context node.
 
-    Only whole bundles are cached; _bundle walks their parts uncached,
-    because a cached call costs twice the stack of a plain one.  The classes
-    may live on a ring equal to, not the same object as, the one
-    _resolve_context returns now: the two caches evict independently.
+    Only whole bundles are cached; _bundle walks their parts uncached, each
+    once.  The classes may live on a ring equal to, not the same object as,
+    the one _resolve_context returns now: the two caches evict independently.
     """
-    return _bundle(node, context, _resolve_context(context))
+    ring = _resolve_context(context)
+    return _on(ring, _bundle(node, ring))
 
 
-def _bundle(node, context, ring) -> ChernVector:
-    if isinstance(context, BundleContext) and not _has_twist(node):
-        # pulled back from the base: compute there, with base products
-        return ring.pullback(_eval_bundle(node, _node(GrassContext, context.k, context.n)))
+def _on(ring, vector: ChernVector) -> ChernVector:
+    # vector on ring: pulled back if _bundle computed it on the base
+    return vector if vector.ring is ring else ring.pullback(vector)
+
+
+def _bundle(node, ring) -> ChernVector:
+    """The Chern vector of a bundle node, bottom-up, one frame per level: on
+    ring, or on its base where no part of the node is a twist.  A twist, and
+    a quotient or sum with a twisted part, pulls its base parts back."""
     if isinstance(node, BundleAtom):
         which = {"S": "sub", "Sdual": "sub_dual", "Q": "quotient"}[node.name]
-        return ring.tautological(which)
+        return (ring.base if isinstance(ring, ProjBundleRing) else ring).tautological(which)
     if isinstance(node, Sym):
-        return sym_power(_bundle(node.bundle, context, ring), node.power)
+        return sym_power(_bundle(node.bundle, ring), node.power)
     if isinstance(node, Dual):
-        return dual_bundle(_bundle(node.bundle, context, ring))
+        return dual_bundle(_bundle(node.bundle, ring))
     if isinstance(node, Twist):
         if not isinstance(ring, ProjBundleRing):
             raise EvalError("twist needs a projective-bundle context to supply zeta")
-        return tensor_line(_bundle(node.bundle, context, ring), node.power * ring.zeta(1))
+        return tensor_line(_on(ring, _bundle(node.bundle, ring)), node.power * ring.zeta(1))
     if isinstance(node, Quotient):
-        num = _bundle(node.numerator, context, ring)
-        den = _bundle(node.denominator, context, ring)
+        num = _bundle(node.numerator, ring)
+        den = _bundle(node.denominator, ring)
+        if num.ring is not den.ring:
+            num, den = _on(ring, num), _on(ring, den)
         try:
             return whitney_quotient(num, den)
         except ValueError as exc:
             raise EvalError(str(exc)) from None
     if isinstance(node, Sum):
-        # equal summands, as in sum(sym(3, Sdual), sym(3, Sdual)), are computed once
-        vectors = {b: _bundle(b, context, ring) for b in dict.fromkeys(node.summands)}
-        return direct_sum(*(vectors[b] for b in node.summands))
+        # equal summands, as in sum(sym(3, Sdual), sym(3, Sdual)), are
+        # computed once; a loop, unlike a comprehension, adds no frame per level
+        vectors = {}
+        for b in node.summands:
+            if b not in vectors:
+                vectors[b] = _bundle(b, ring)
+        parts = [vectors[b] for b in node.summands]
+        if any(v.ring is not parts[0].ring for v in parts):
+            parts = [_on(ring, v) for v in parts]
+        return direct_sum(*parts)
     raise TypeError(f"not a bundle node: {node!r}")
 
 
@@ -690,7 +703,9 @@ def _bundle_rank(node, k: int, n: int) -> int:
     elif isinstance(node, Sum):
         if type(node.summands) is not tuple or not node.summands:  # a list would not hash as a cache key
             raise EvalError(f"sum summands must be a nonempty tuple, got {node.summands!r}")
-        rank = sum(_bundle_rank(b, k, n) for b in node.summands)
+        rank = 0
+        for b in node.summands:  # a loop, not a generator: one frame per level
+            rank += _bundle_rank(b, k, n)
     else:
         raise EvalError(f"not a bundle node: {node!r}")
     if rank > MAX_RANK:

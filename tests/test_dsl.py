@@ -647,6 +647,90 @@ def test_nested_sums_evaluate_as_the_flat_sum():
     assert evaluate(nested) == evaluate(f"c(5, sum({', '.join(['S'] * 301)})) in G(1,6)")
 
 
+def _flat_sum(depth):
+    return f"c(5, sum({', '.join(['S'] * (depth + 1))})) in G(1,6)"
+
+
+# chain families: a query nested depth levels, and an equal shallow query
+_CHAINS = {
+    "sums": (lambda d: "c(5, " + "sum(" * d + "S" + ", S)" * d + ") in G(1,6)", _flat_sum),
+    "sums-of-sym": (lambda d: "c(5, " + "sum(sym(1, " * d + "S" + "), S)" * d + ") in G(1,6)", _flat_sum),
+    "duals": (lambda d: "c(1, " + "dual(" * d + "S" + ")" * d + ") in G(2,4)", None),
+    "duals-in-P(S)": (lambda d: "c(1, " + "dual(" * d + "S" + ")" * d + ") in P(S) over G(2,4)", None),
+    "duals-of-twist": (lambda d: "c(1, " + "dual(" * d + "twist(S, 1)" + ")" * d + ") in P(S) over G(2,4)", None),
+    "duals-of-sym": (lambda d: "c(9, " + "dual(" * d + "sym(3, S)" + ")" * d + ") in G(3,6)", None),
+    "minuses": (lambda d: "-" * d + "sigma[1] in G(2,4)", None),
+}
+
+
+def _deepest_parse(chain):
+    lo, hi = 1, sys.getrecursionlimit()
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        try:
+            parse(chain(mid))
+            lo = mid
+        except ParseError:
+            hi = mid - 1
+    return lo
+
+
+@pytest.mark.parametrize("family", list(_CHAINS))
+def test_chains_evaluate_cold_and_warm_near_the_parsers_limit(family):
+    # the size checks and the evaluator spend one frame per level, so only
+    # the arithmetic under the deepest level separates their edge from the
+    # parser's, 11 levels at most (under dual(...sym(3, S)...)); nested sums
+    # meet the rank cap first
+    chain, shallow = _CHAINS[family]
+    limit = _deepest_parse(chain)
+    depth = dsl.MAX_RANK - 1 if family == "sums" else limit - 12
+    assert 100 < depth <= limit - 12
+    # a dual or a unary minus applied twice is the identity
+    expected = evaluate(shallow(depth) if shallow else chain(depth % 2))
+    _cold()
+    assert evaluate(chain(depth)) == expected
+    assert evaluate(chain(depth)) == expected
+
+
+@pytest.mark.parametrize("depth", [dsl.MAX_RANK, "the parser's limit"])
+def test_a_nested_sum_over_the_rank_cap_names_the_cap(depth):
+    # the rank check and the rendering in its message spend one frame per level
+    chain = _CHAINS["sums"][0]
+    if not isinstance(depth, int):
+        depth = _deepest_parse(chain)
+    with pytest.raises(EvalError, match=f"has rank {dsl.MAX_RANK + 1}, above the cap of {dsl.MAX_RANK}$"):
+        evaluate(chain(depth))
+
+
+@pytest.mark.parametrize(
+    "query, rendered",
+    [
+        ("c(3, sym(2, sum(twist(S, 1), Q)))",
+         "-240*sigma[1]*zeta^2 - 184*sigma[2]*zeta - 584*sigma[1,1]*zeta - 384*sigma[2,1]"),
+        ("c(3, dual(sum(Q, twist(S, -1))))", "-sigma[1]*zeta^2 + sigma[2]*zeta - sigma[1,1]*zeta"),
+        ("c(2, quotient(sum(S, twist(Q, 1)), S))", "zeta^2 + sigma[1]*zeta + sigma[2]"),
+        ("c(3, sum(twist(Sdual, 2), Q))", "4*sigma[1]*zeta^2 + 6*sigma[2]*zeta + 2*sigma[1,1]*zeta + 2*sigma[2,1]"),
+    ],
+    ids=["sym", "dual", "quotient", "sum"],
+)
+def test_twisted_and_untwisted_parts_meet_in_a_bundle_context(query, rendered):
+    # an untwisted part is computed on the base and pulled back where it
+    # meets a twisted one; the renderings are pinned
+    _clear_caches()
+    for _ in range(2):  # cold, then from the cache
+        assert evaluate(f"{query} in P(sym(2, Sdual)) over G(2,4)").rendered == rendered
+
+
+def test_evaluation_reaches_the_chern_layer_through_module_globals(monkeypatch):
+    # perfbench's tracer counts the Chern layer by rebinding these names in dsl
+    calls = {name: [] for name in ("sym_power", "tensor_line", "whitney_quotient", "direct_sum", "dual_bundle")}
+    for name, seen in calls.items():
+        monkeypatch.setattr(dsl, name, _counting(seen, getattr(dsl, name)))
+    _clear_caches()
+    evaluate("c(5, sum(sym(2, Sdual), twist(dual(Q), 1), quotient(sum(S, Q), S))) in P(S) over G(2,4)")
+    assert all(calls.values()), calls
+
+
 def test_bundles_cached_on_an_evicted_ring_stay_correct():
     # the bundle cache can outlive the context cache's ring: its classes then
     # live on an equal ring, not the same object
