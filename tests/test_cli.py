@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -19,6 +20,70 @@ def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert err == ""
     return code, json.loads(out)
+
+
+_LEDGER_FILES = {
+    "failing.json": json.dumps({"ledgers": [{"name": "off-by-one", "total": 2875, "components": [
+        {"label": "hyperplane", "equivalence": 1275}, {"label": "quartic", "equivalence": 1601}]}]}),
+    "unreadable.json": "{nope",
+}
+
+# every command, text and JSON, on success, bad input and usage errors;
+# "{tmp}" stands for the directory that holds _LEDGER_FILES
+_PINNED_INVOCATIONS = [
+    *[[*command, *flag] for command in [
+        ["grass", "integrate(sigma[1]^6) in G(2,5)"],
+        ["grass", "sigma[1]*sigma[1] in G(2,4)"],
+        ["grass", "sigma[1"],
+        ["grass", "c(1, sym(13, Q)) in G(2,6)"],
+        ["grass", "c(1, quotient(sym(2, Sdual), Sdual)) in G(2,5)"],
+        ["count", "lines", "--ambient", "4", "--degrees", "5"],
+        ["count", "lines", "--ambient", "4", "--degrees", "3"],
+        ["count", "lines", "--ambient", "4", "--degrees", "6"],
+        ["count", "lines", "--ambient", "4"],
+        ["count", "lines", "--ambient", "4", "--degrees", "0"],
+        ["count", "conics", "--ambient", "4", "--degrees", "5"],
+        ["count", "conics", "--ambient", "4", "--degrees", "4"],
+        ["count", "conics", "--ambient", "4", "--degrees", "7"],
+        ["count", "conics", "--degrees", "5"],
+        ["count", "conics", "--ambient", "2", "--degrees", "5"],
+        ["equivalence", "--family-dim", "1", "--chern-integrals", "0,20"],
+        ["equivalence", "--cover", "3"],
+        ["equivalence", "--cover", "2", "--chern-integrals", "1"],
+        ["equivalence", "--family-dim", "2", "--chern-integrals", "0,1"],
+        ["ledger", "check"],
+        ["ledger", "check", "{tmp}/failing.json"],
+        ["ledger", "check", "{tmp}/unreadable.json"],
+        ["ledger", "check", "{tmp}/missing.json"],
+        ["verify", "--suite", "classical"],
+        ["count", "lines", "--ambient", "4", "--degrees", "five"],
+        ["equivalence", "--cover", "2", "--family-dim", "1"],
+    ] for flag in ([], ["--json"])],
+    [],
+    ["ledger"],
+    ["--help"],
+    ["count", "--help"],
+]
+
+
+def test_every_cli_output_is_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage and help to the terminal width
+    for name, text in _LEDGER_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    digest = hashlib.sha256()
+    for argv in _PINNED_INVOCATIONS:
+        code, out, err = run_cli(capsys, *(arg.replace("{tmp}", str(tmp_path)) for arg in argv))
+        if "--json" in argv and out:
+            payload = json.loads(out)
+            payload.pop("timings_ms", None)
+            out = json.dumps(payload, indent=2)
+        out, err = (text.replace(str(tmp_path), "<tmp>") for text in (out, err))
+        if "--help" in argv:
+            # the words only: Python 3.13 aligns help columns differently, and
+            # 3.10 heads the option list "optional arguments:"
+            out = " ".join(out.replace("optional arguments:", "options:").split())
+        digest.update(repr((code, out, err)).encode())
+    assert digest.hexdigest() == "f08e7e497fdf7b3c6d370420116b0e5e5c67bdc6385072ce842f94c24dde279e"
 
 
 def test_grass_integer_text(capsys):
