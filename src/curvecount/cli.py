@@ -8,9 +8,17 @@ equivalence           bookkeeping weights for families and multiple covers
 ledger check [FILE]   verify degeneration ledgers (builtin set by default)
 verify --suite NAME   run a self-check suite
 
-Every subcommand takes --json for machine-readable output.  Exit codes:
-0 on success, 1 on bad input, a failed verification or a closed output
-pipe, 2 on internal error.
+Every subcommand takes --json for machine-readable output.  Each _cmd_*
+handler returns (payload, lines, ok): its JSON payload without timings, its
+plain-text lines, and whether it succeeded (false for an unbalanced ledger or
+a failed check); it prints nothing and catches nothing.  main alone times the
+handler, appends timings_ms as the last key of the payload, prints, and maps
+what the handler raises to an exit code: a dsl.DSLError prints its
+diagnostic and a ValueError or OSError (bad input, an unreadable file, an
+output that cannot be written) prints "error: ...", both exit 1; a closed
+output pipe exits 1 with nothing on stderr; any other exception prints
+"internal error: ..." and exits 2.  Otherwise the exit code is 0, or 1 when
+ok is false.
 """
 
 from __future__ import annotations
@@ -71,8 +79,10 @@ _COUNTERS = {"lines": lines_on_complete_intersection, "conics": conics_on_comple
 def build_parser() -> _Parser:
     parser = _Parser(prog="curvecount", description="Exact curve counts via Chern class integrals.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
-    p_grass = sub.add_parser("grass", parents=[_json_flag()],
+    p_grass = sub.add_parser("grass", parents=[json_flag],
                              help="evaluate an expression like 'integrate(sigma[1]^6) in G(2,5)'")
     p_grass.add_argument("expression", help="expression with a context clause")
 
@@ -84,10 +94,10 @@ def build_parser() -> _Parser:
     intersection.add_argument("--degrees", type=_int_list, metavar="d1,d2,...",
                               help="degrees of the defining equations")
     for curve in _COUNTERS:
-        count_sub.add_parser(curve, parents=[_json_flag(), intersection],
+        count_sub.add_parser(curve, parents=[json_flag, intersection],
                              help=f"{curve} on a complete intersection")
 
-    p_equiv = sub.add_parser("equivalence", parents=[_json_flag()],
+    p_equiv = sub.add_parser("equivalence", parents=[json_flag],
                              help="contribution of a family or a multiple cover")
     group = p_equiv.add_mutually_exclusive_group(required=True)
     group.add_argument("--family-dim", type=_int, metavar="K",
@@ -99,12 +109,12 @@ def build_parser() -> _Parser:
 
     p_ledger = sub.add_parser("ledger", help="degeneration-ledger operations")
     ledger_sub = p_ledger.add_subparsers(dest="action", required=True, metavar="action")
-    p_check = ledger_sub.add_parser("check", parents=[_json_flag()],
+    p_check = ledger_sub.add_parser("check", parents=[json_flag],
                                     help="verify that ledger components sum to their totals")
     p_check.add_argument("file", nargs="?", default=None,
                          help="ledger JSON file (builtin ledgers when omitted)")
 
-    p_verify = sub.add_parser("verify", parents=[_json_flag()], help="run a self-check suite")
+    p_verify = sub.add_parser("verify", parents=[json_flag], help="run a self-check suite")
     p_verify.add_argument("--suite", choices=SUITE_NAMES, required=True,
                           help="which checks to run")
     p_verify.add_argument("--seed", type=_int, default=2026,
@@ -113,44 +123,27 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _json_flag() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    return shared
+def _cmd_grass(args):
+    query = dsl.parse(args.expression)
+    result = dsl.evaluate(query)
+    value = result.value if result.kind == "integer" else result.rendered
+    payload = {
+        "query": dsl.render(query),
+        "context": result.context,
+        "result": {"kind": result.kind, "value": value},
+    }
+    return payload, [result.rendered], True
 
 
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=False))
-
-
-def _cmd_grass(args) -> int:
-    start = time.perf_counter()
-    try:
-        query = dsl.parse(args.expression)
-        result = dsl.evaluate(query)
-    except dsl.DSLError as exc:
-        print(exc.diagnostic(), file=sys.stderr)
-        return 1
-    elapsed = (time.perf_counter() - start) * 1000
-    if args.json:
-        value = result.value if result.kind == "integer" else result.rendered
-        _emit({
-            "query": dsl.render(query),
-            "context": result.context,
-            "result": {"kind": result.kind, "value": value},
-            "timings_ms": round(elapsed, 3),
-        })
-    else:
-        print(result.rendered)
-    return 0
-
-
-def _report_payload(report, elapsed: float) -> dict:
+def _cmd_count(args):
+    if args.ambient is None or args.degrees is None:
+        raise ValueError(f"count {args.recipe} needs --ambient and --degrees")
+    report = _COUNTERS[args.recipe](args.ambient, args.degrees)
     if report.count is not None:
         outcome = {"count": report.count}
     else:
         outcome = {"family_dimension": report.family_dimension}
-    return {
+    payload = {
         "recipe": report.recipe,
         "ambient_dim": report.ambient_dim,
         "degrees": list(report.degrees),
@@ -160,122 +153,76 @@ def _report_payload(report, elapsed: float) -> dict:
         "outcome": outcome,
         "expected_empty": report.expected_empty,
         "calabi_yau": report.calabi_yau,
-        "timings_ms": round(elapsed, 3),
     }
+    return payload, [report.describe()], True
 
 
-def _cmd_count(args) -> int:
-    start = time.perf_counter()
-    try:
-        if args.ambient is None or args.degrees is None:
-            raise ValueError(f"count {args.recipe} needs --ambient and --degrees")
-        report = _COUNTERS[args.recipe](args.ambient, args.degrees)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    elapsed = (time.perf_counter() - start) * 1000
-    if args.json:
-        _emit(_report_payload(report, elapsed))
-    else:
-        print(report.describe())
-    return 0
-
-
-def _cmd_equivalence(args) -> int:
+def _cmd_equivalence(args):
     if args.cover is not None:
         if args.chern_integrals is not None:
-            print("error: --chern-integrals only applies to --family-dim", file=sys.stderr)
-            return 1
-        try:
-            weight = multiple_cover_weight(args.cover)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        if args.json:
-            _emit({"recipe": "multiple-cover", "cover_degree": args.cover, "weight": str(weight)})
-        else:
-            print(f"degree-{args.cover} covers of a rigid rational curve each weigh {weight}")
-        return 0
-    try:
-        value = equivalence_unobstructed(args.family_dim, args.chern_integrals)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.json:
-        _emit({
-            "recipe": "family-equivalence",
-            "family_dim": args.family_dim,
-            "equivalence": value,
-            "note": "covers one connected unobstructed family piece",
-        })
+            raise ValueError("--chern-integrals only applies to --family-dim")
+        weight = multiple_cover_weight(args.cover)
+        payload = {"recipe": "multiple-cover", "cover_degree": args.cover, "weight": str(weight)}
+        line = f"degree-{args.cover} covers of a rigid rational curve each weigh {weight}"
+        return payload, [line], True
+    value = equivalence_unobstructed(args.family_dim, args.chern_integrals)
+    payload = {
+        "recipe": "family-equivalence",
+        "family_dim": args.family_dim,
+        "equivalence": value,
+        "note": "covers one connected unobstructed family piece",
+    }
+    lines = [f"equivalence of the {args.family_dim}-dimensional family piece: {value}",
+             "(one connected unobstructed piece; sum the pieces to count curves)"]
+    return payload, lines, True
+
+
+def _cmd_ledger(args):
+    if args.file is None:
+        ledgers = [ledger for _, ledger in sorted(builtin_ledgers().items())]
     else:
-        print(f"equivalence of the {args.family_dim}-dimensional family piece: {value}")
-        print("(one connected unobstructed piece; sum the pieces to count curves)")
-    return 0
-
-
-def _cmd_ledger(args) -> int:
-    try:
-        if args.file is None:
-            ledgers = [ledger for _, ledger in sorted(builtin_ledgers().items())]
-        else:
-            ledgers = load_ledger_file(args.file)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        ledgers = load_ledger_file(args.file)
     reports = [ledger_check(ledger) for ledger in ledgers]
-    if args.json:
-        _emit({
-            "ledgers": [
-                {
-                    "name": rep.name,
-                    "total": rep.total,
-                    "computed": rep.computed,
-                    "residual": rep.residual,
-                    "ok": rep.ok,
-                }
-                for rep in reports
-            ],
-            "ok": all(rep.ok for rep in reports),
-        })
-    else:
-        for rep in reports:
-            if rep.ok:
-                print(f"PASS {rep.name}: components sum to {rep.total}")
-            else:
-                print(f"FAIL {rep.name}: total {rep.total}, components sum to {rep.computed} "
-                      f"(residual {rep.residual})")
-        bad = sum(1 for rep in reports if not rep.ok)
-        print(f"{len(reports)} ledgers, {bad} failed")
-    return 0 if all(rep.ok for rep in reports) else 1
+    failed = sum(1 for rep in reports if not rep.ok)
+    payload = {
+        "ledgers": [
+            {
+                "name": rep.name,
+                "total": rep.total,
+                "computed": rep.computed,
+                "residual": rep.residual,
+                "ok": rep.ok,
+            }
+            for rep in reports
+        ],
+        "ok": not failed,
+    }
+    lines = [f"PASS {rep.name}: components sum to {rep.total}" if rep.ok
+             else f"FAIL {rep.name}: total {rep.total}, components sum to {rep.computed} "
+                  f"(residual {rep.residual})"
+             for rep in reports]
+    lines.append(f"{len(reports)} ledgers, {failed} failed")
+    return payload, lines, not failed
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     from . import suites  # only this command runs the check suites
 
-    start = time.perf_counter()
     checks = suites.run_suite(args.suite, seed=args.seed)
-    elapsed = (time.perf_counter() - start) * 1000
-    ok = all(c.passed for c in checks)
-    if args.json:
-        _emit({
-            "suite": args.suite,
-            "checks": [
-                {"name": c.name, "expected": c.expected, "actual": c.actual, "passed": c.passed}
-                for c in checks
-            ],
-            "passed": ok,
-            "timings_ms": round(elapsed, 3),
-        })
-    else:
-        for c in checks:
-            if c.passed:
-                print(f"PASS {c.name}: {c.actual}")
-            else:
-                print(f"FAIL {c.name}: expected {c.expected}, got {c.actual}")
-        failed = sum(1 for c in checks if not c.passed)
-        print(f"{len(checks)} checks, {failed} failed")
-    return 0 if ok else 1
+    failed = sum(1 for c in checks if not c.passed)
+    payload = {
+        "suite": args.suite,
+        "checks": [
+            {"name": c.name, "expected": c.expected, "actual": c.actual, "passed": c.passed}
+            for c in checks
+        ],
+        "passed": not failed,
+    }
+    lines = [f"PASS {c.name}: {c.actual}" if c.passed
+             else f"FAIL {c.name}: expected {c.expected}, got {c.actual}"
+             for c in checks]
+    lines.append(f"{len(checks)} checks, {failed} failed")
+    return payload, lines, not failed
 
 
 _HANDLERS = {
@@ -294,15 +241,27 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 0 if code is None else 1
+    start = time.perf_counter()
     try:
-        code = _HANDLERS[args.command](args)
+        payload, lines, ok = _HANDLERS[args.command](args)
+        if args.json:
+            payload["timings_ms"] = round((time.perf_counter() - start) * 1000, 3)
+            print(json.dumps(payload, indent=2))
+        else:
+            print("\n".join(lines))
         sys.stdout.flush()  # a reader that closed the pipe shows up here, not at exit
-        return code
-    except BrokenPipeError:
+        return 0 if ok else 1
+    except dsl.DSLError as exc:
+        print(exc.diagnostic(), file=sys.stderr)
+        return 1
+    except BrokenPipeError:  # before OSError, its base class
         # no output can reach the reader; send what is left to devnull, quietly
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        return 1
+    except (ValueError, OSError) as exc:  # bad input: arguments, a query's numbers, a ledger file
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # anything a handler did not expect
         print(f"internal error: {exc}", file=sys.stderr)

@@ -66,6 +66,16 @@ _PINNED_INVOCATIONS = [
 ]
 
 
+# one invocation of each command, for the tests of the output contract
+_ONE_PER_COMMAND = [
+    ["grass", "integrate(sigma[1]^6) in G(2,5)"],
+    ["count", "lines", "--ambient", "4", "--degrees", "5"],
+    ["equivalence", "--cover", "3"],
+    ["ledger", "check"],
+    ["verify", "--suite", "classical"],
+]
+
+
 def test_every_cli_output_is_pinned(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage and help to the terminal width
     for name, text in _LEDGER_FILES.items():
@@ -84,6 +94,61 @@ def test_every_cli_output_is_pinned(tmp_path, capsys, monkeypatch):
             out = " ".join(out.replace("optional arguments:", "options:").split())
         digest.update(repr((code, out, err)).encode())
     assert digest.hexdigest() == "f08e7e497fdf7b3c6d370420116b0e5e5c67bdc6385072ce842f94c24dde279e"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [*_ONE_PER_COMMAND, ["count", "conics", "--ambient", "4", "--degrees", "5"],
+     ["equivalence", "--family-dim", "0"], ["ledger", "check", "{tmp}/failing.json"]],
+    ids=["grass", "count-lines", "equivalence-cover", "ledger-builtin", "verify",
+         "count-conics", "equivalence-family", "ledger-failing"],
+)
+def test_every_json_payload_ends_with_its_timing(tmp_path, capsys, argv):
+    (tmp_path / "failing.json").write_text(_LEDGER_FILES["failing.json"], encoding="utf-8")
+    code, payload = run_json(capsys, *(arg.replace("{tmp}", str(tmp_path)) for arg in argv), "--json")
+    assert code == (1 if "failing" in argv[-1] else 0)
+    assert list(payload)[-1] == "timings_ms"
+    assert isinstance(payload["timings_ms"], float) and payload["timings_ms"] >= 0
+
+
+# the library call each command of _ONE_PER_COMMAND makes
+_LIBRARY_CALLS = [
+    "curvecount.dsl.evaluate",
+    "curvecount.recipes._count",
+    "curvecount.cli.multiple_cover_weight",
+    "curvecount.cli.builtin_ledgers",
+    "curvecount.suites.run_suite",
+]
+
+
+@pytest.mark.parametrize(
+    "exc, code, err",
+    [(ValueError("bad numbers"), 1, "error: bad numbers\n"),
+     (RuntimeError("wires crossed"), 2, "internal error: wires crossed\n")],
+    ids=["ValueError", "RuntimeError"],
+)
+@pytest.mark.parametrize("argv, call", zip(_ONE_PER_COMMAND, _LIBRARY_CALLS),
+                         ids=[argv[0] for argv in _ONE_PER_COMMAND])
+def test_library_errors_map_to_exit_codes(monkeypatch, capsys, argv, call, exc, code, err):
+    def boom(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(call, boom)
+    for flags in ([], ["--json"]):
+        assert run_cli(capsys, *argv, *flags) == (code, "", err)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that refuses writes")
+def test_unwritable_output_exits_one():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "curvecount", *_ONE_PER_COMMAND[0]],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: [Errno 28]")
 
 
 def test_grass_integer_text(capsys):
@@ -485,16 +550,6 @@ def test_verify_failure_exits_one(monkeypatch, capsys):
     assert "FAIL x" in out
 
 
-def test_internal_error_exits_two(monkeypatch, capsys):
-    def boom(name, seed=0):
-        raise RuntimeError("wires crossed")
-
-    monkeypatch.setattr("curvecount.suites.run_suite", boom)
-    code, _, err = run_cli(capsys, "verify", "--suite", "classical")
-    assert code == 2
-    assert "internal error" in err
-
-
 def test_missing_subcommand_is_usage_error(capsys):
     code, _, err = run_cli(capsys)
     assert code == 1
@@ -519,12 +574,13 @@ def test_module_entry_point_subprocess():
     assert proc.stdout.strip() == "2"
 
 
-def test_closed_output_pipe_exits_one_quietly():
+@pytest.mark.parametrize("argv", _ONE_PER_COMMAND, ids=[argv[0] for argv in _ONE_PER_COMMAND])
+def test_closed_output_pipe_exits_one_quietly(argv):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "curvecount", "count", "lines", "--ambient", "4", "--degrees", "5"],
+            [sys.executable, "-m", "curvecount", *argv],
             stdout=write_end,
             stderr=subprocess.PIPE,
         )
