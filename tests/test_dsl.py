@@ -368,6 +368,59 @@ def test_parse_render_round_trip_on_random_asts():
         assert render(again) == text
 
 
+# each bundle word wrapped around an inner bundle, in every argument slot
+_WRAPS = {
+    "sym": ["sym(2, {})", "sym( 0 ,{} )"],
+    "dual": ["dual({})"],
+    "twist": ["twist({}, -1)", "twist({},3)"],
+    "quotient": ["quotient({}, S)", "quotient(Q, {})"],
+    "sum": ["sum({})", "sum({}, Sdual)", "sum(S, {}, Q)"],
+}
+
+
+def _bundle_syntax_corpus():
+    bundles = ["S", "Sdual", "Q"]
+    for outer, outer_wraps in _WRAPS.items():
+        for inner, inner_wraps in _WRAPS.items():
+            for wrap in outer_wraps:
+                text = inner_wraps[-1].format("Q")
+                for _ in range(3):  # the inner word three levels down
+                    text = wrap.format(text)
+                bundles.append(text)
+    bundles += [f"twist(S, {p})" for p in ("-2", "-0", "0", "3", "- 2", "007")]
+    bundles += ["sum(S)", "sum(S, Q)", "sum(S, Q, Sdual)", "sum(sum(S), sum(Q, Q))"]
+    texts = []
+    for b in bundles:
+        texts += [f"c(1, {b}) in G(2,4)", f"integrate(zeta) in P({b}) over G(2,4)"]
+    bad = [
+        "sym(2 S)", "twist(S 1)", "quotient(S Q)", "sum(S Q)", "sym(2, S, Q)", "dual(S, Q)",
+        "sym(, S)", "twist(S, )", "twist(S, -)", "sym(-2, S)", "twist(S, --1)",
+        "foo(S)", "S(1)", "Sym(2, S)", "sigma[1]", "sum()", "quotient(S)", "dual()", "sym(2)", "(S)", "",
+    ]
+    texts += [f"c(1, {b}) in G(2,4)" for b in bad] + [f"1 in P({b}) over G(2,4)" for b in bad]
+    # end of input at every point inside each word
+    for full in ("c(1, sym(2, S)) in G(2,4)", "c(1, dual(Q)) in G(2,4)", "c(1, twist(S, -1)) in G(2,4)",
+                 "c(1, quotient(S, Q)) in G(2,4)", "c(1, sum(S, Q, Sdual)) in G(2,4)"):
+        texts += [full[:end] for end in range(len("c(1, "), full.index(" in"))]
+    return texts
+
+
+def test_bundle_syntax_is_pinned():
+    # the rendering of every parse, or its syntax error, of bundle words in
+    # every slot of every other word, twist powers, sums of 1 to 3 summands,
+    # bundles in c(i, ...) and in P(...), and each way a bundle can be cut short
+    texts = _bundle_syntax_corpus()
+    digest = hashlib.sha256()
+    for text in texts:
+        try:
+            out = render(parse(text))
+        except ParseError as err:
+            out = err.diagnostic()
+        digest.update(f"{text} => {out}\n".encode())
+    assert len(texts) == 231
+    assert digest.hexdigest() == "7c97e3427eda7b332c135399bb8472840d07702a6dce2069588b48049418f58a"
+
+
 def test_evaluate_integer_results():
     assert evaluate("integrate(sigma[1]^6) in G(2,5)").value == 5
     assert evaluate("integrate(c(6, sym(5, Sdual))) in G(2,5)").value == 2875
