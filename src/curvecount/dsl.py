@@ -22,7 +22,9 @@ Grammar (LL(1), whitespace insensitive):
               | "sum" "(" bundle { "," bundle } ")"
 
 INT is a run of the ASCII digits 0-9 and a name is [A-Za-z_][A-Za-z0-9_]*;
-any other non-space character is a syntax error.
+any other non-space character is a syntax error.  The parser and
+render_bundle read each bundle word, its node and its arguments from one
+table, _WORDS.
 
 sigma[...] names a Schubert class of the base Grassmannian, zeta the
 hyperplane class of a projective-bundle context, twist(B, p) tensors B
@@ -215,6 +217,21 @@ class Query(_Node):
     _fields = ("expr", "context")
 
 
+# the bundle atoms, each with its name on GrassRing.tautological
+_ATOMS = {"S": "sub", "Sdual": "sub_dual", "Q": "quotient"}
+
+# the bundle words, each with its node and the kinds of its arguments in the
+# order of the node's fields: "int" an INT, "signed" an INT after an optional
+# "-", "bundle" a bundle and "bundles" one or more, separated by commas
+_WORDS = {
+    "sym": (Sym, ("int", "bundle")),
+    "dual": (Dual, ("bundle",)),
+    "twist": (Twist, ("bundle", "signed")),
+    "quotient": (Quotient, ("bundle", "bundle")),
+    "sum": (Sum, ("bundles",)),
+}
+_WORD_OF = {cls: (word, kinds) for word, (cls, kinds) in _WORDS.items()}
+
 # builds a node without _Record's field count check, for callers that fix it
 _new = tuple.__new__
 
@@ -404,53 +421,39 @@ class _Parser:
         raise self.fail(("an integer", "'sigma'", "'zeta'", "'integrate'", "'c'", "'('"))
 
     def bundle(self):
+        # the arguments are read here, not in a helper: one frame per level
         text = self.texts[self.pos]
-        if text in ("S", "Sdual", "Q"):
+        if text in _ATOMS:
             self.pos += 1
             return _node(BundleAtom, text)
-        if text == "sym":
-            self.pos += 1
-            self.eat("(")
-            m = self.eat_int()
-            self.eat(",")
-            inner = self.bundle()
-            self.eat(")")
-            return _node(Sym, m, inner)
-        if text == "dual":
-            self.pos += 1
-            self.eat("(")
-            inner = self.bundle()
-            self.eat(")")
-            return _node(Dual, inner)
-        if text == "twist":
-            self.pos += 1
-            self.eat("(")
-            inner = self.bundle()
-            self.eat(",")
-            negative = self.texts[self.pos] == "-"
-            if negative:
-                self.pos += 1
-            p = self.eat_int()
-            self.eat(")")
-            return _node(Twist, inner, -p if negative else p)
-        if text == "quotient":
-            self.pos += 1
-            self.eat("(")
-            num = self.bundle()
-            self.eat(",")
-            den = self.bundle()
-            self.eat(")")
-            return _node(Quotient, num, den)
-        if text == "sum":
-            self.pos += 1
-            self.eat("(")
-            summands = [self.bundle()]
-            while self.texts[self.pos] == ",":
-                self.pos += 1
-                summands.append(self.bundle())
-            self.eat(")")
-            return _node(Sum, tuple(summands))
-        raise self.fail(("'S'", "'Sdual'", "'Q'", "'sym'", "'dual'", "'twist'", "'quotient'", "'sum'"))
+        if text not in _WORDS:
+            raise self.fail(_BUNDLE_EXPECTED)
+        cls, kinds = _WORDS[text]
+        self.pos += 1
+        self.eat("(")
+        fields = []
+        for kind in kinds:
+            if fields:
+                self.eat(",")
+            if kind == "bundle":
+                fields.append(self.bundle())
+            elif kind == "bundles":
+                summands = [self.bundle()]
+                while self.texts[self.pos] == ",":
+                    self.pos += 1
+                    summands.append(self.bundle())
+                fields.append(tuple(summands))
+            else:
+                negative = kind == "signed" and self.texts[self.pos] == "-"
+                if negative:
+                    self.pos += 1
+                fields.append(-self.eat_int() if negative else self.eat_int())
+        self.eat(")")
+        return _node(cls, *fields)
+
+
+# what a bundle may start with, for the syntax error
+_BUNDLE_EXPECTED = tuple(f"'{name}'" for name in (*_ATOMS, *_WORDS))
 
 
 def parse(text: str) -> Query:
@@ -504,20 +507,17 @@ def _render(node, parent_level: int) -> str:
 def render_bundle(node) -> str:
     if isinstance(node, BundleAtom):
         return node.name
-    if isinstance(node, Sym):
-        return f"sym({node.power}, {render_bundle(node.bundle)})"
-    if isinstance(node, Dual):
-        return f"dual({render_bundle(node.bundle)})"
-    if isinstance(node, Twist):
-        return f"twist({render_bundle(node.bundle)}, {node.power})"
-    if isinstance(node, Quotient):
-        return f"quotient({render_bundle(node.numerator)}, {render_bundle(node.denominator)})"
-    if isinstance(node, Sum):
-        parts = []
-        for b in node.summands:  # a loop, not a generator: one frame per level
-            parts.append(render_bundle(b))
-        return "sum(" + ", ".join(parts) + ")"
-    raise TypeError(f"not a bundle node: {node!r}")
+    if type(node) not in _WORD_OF:
+        raise TypeError(f"not a bundle node: {node!r}")
+    word, kinds = _WORD_OF[type(node)]
+    parts = []
+    for value, kind in zip(node, kinds):  # loops, not generators: one frame per level
+        if kind == "bundles":
+            for b in value:
+                parts.append(render_bundle(b))
+        else:
+            parts.append(render_bundle(value) if kind == "bundle" else str(value))
+    return word + "(" + ", ".join(parts) + ")"
 
 
 def render_context(node) -> str:
@@ -551,17 +551,10 @@ _ATOM_CACHE_SIZE = 512
 @lru_cache(maxsize=_CONTEXT_CACHE_SIZE)
 def _resolve_context(node):
     """The ring of a context node: a GrassRing or a ProjBundleRing."""
-    try:
-        ctx = GrassCtx(node.k, node.n)
-    except ValueError as exc:
-        raise EvalError(str(exc)) from None
+    ctx = GrassCtx(node.k, node.n)
     if isinstance(node, GrassContext):
         return GrassRing(ctx)
-    bundle = _eval_bundle(node.bundle, _node(GrassContext, node.k, node.n))
-    try:
-        return ProjBundleRing(bundle)
-    except ValueError as exc:
-        raise EvalError(str(exc)) from None
+    return ProjBundleRing(_eval_bundle(node.bundle, _node(GrassContext, node.k, node.n)))
 
 
 @lru_cache(maxsize=_BUNDLE_CACHE_SIZE)
@@ -586,8 +579,7 @@ def _bundle(node, ring) -> ChernVector:
     ring, or on its base where no part of the node is a twist.  A twist, and
     a quotient or sum with a twisted part, pulls its base parts back."""
     if isinstance(node, BundleAtom):
-        which = {"S": "sub", "Sdual": "sub_dual", "Q": "quotient"}[node.name]
-        return (ring.base if isinstance(ring, ProjBundleRing) else ring).tautological(which)
+        return (ring.base if isinstance(ring, ProjBundleRing) else ring).tautological(_ATOMS[node.name])
     if isinstance(node, Sym):
         return sym_power(_bundle(node.bundle, ring), node.power)
     if isinstance(node, Dual):
@@ -601,10 +593,7 @@ def _bundle(node, ring) -> ChernVector:
         den = _bundle(node.denominator, ring)
         if num.ring is not den.ring:
             num, den = _on(ring, num), _on(ring, den)
-        try:
-            return whitney_quotient(num, den)
-        except ValueError as exc:
-            raise EvalError(str(exc)) from None
+        return whitney_quotient(num, den)
     if isinstance(node, Sum):
         # equal summands, as in sum(sym(3, Sdual), sym(3, Sdual)), are
         # computed once; a loop, unlike a comprehension, adds no frame per level
@@ -626,10 +615,7 @@ def _eval_atom(node, context):
     ring = _resolve_context(context)
     base = ring.base if isinstance(ring, ProjBundleRing) else ring
     sigma = node.base if isinstance(node, Pow) else node
-    try:
-        value = schubert_class(base.ctx, sigma.parts)
-    except ValueError as exc:
-        raise EvalError(str(exc)) from None
+    value = schubert_class(base.ctx, sigma.parts)
     value = value if sigma is node else value ** node.exponent
     return value if base is ring else ring.from_base(value)
 
@@ -684,7 +670,7 @@ def _int_leaf(value, what: str) -> int:
 def _bundle_rank(node, k: int, n: int) -> int:
     """Rank of a bundle node on G(k, n), checked against the caps."""
     if isinstance(node, BundleAtom):
-        if node.name not in ("S", "Sdual", "Q"):
+        if not isinstance(node.name, str) or node.name not in _ATOMS:
             raise EvalError(f"unknown bundle {node.name!r}")
         rank = n - k if node.name == "Q" else k
     elif isinstance(node, Sym):
@@ -772,7 +758,8 @@ def _check_size(query: Query) -> None:
 
 
 def _value(query: Query):
-    """The value of a parsed query, without the size caps or node checks."""
+    """The value of a parsed query, without the size caps or node checks; the
+    library's errors stay ValueErrors."""
     return _eval_expr(query.expr, _resolve_context(query.context), query.context)
 
 
@@ -791,6 +778,8 @@ def evaluate(query) -> EvalResult:
         value = _value(query)
     except RecursionError:
         raise EvalError("expression nests too deeply") from None
+    except ValueError as exc:  # the library refuses a context, class or quotient
+        raise EvalError(str(exc)) from None
     context = render_context(query.context)
     if isinstance(value, int):
         return EvalResult("integer", value, str(value), context)

@@ -75,14 +75,15 @@ class ProjBundleRing(_Record):
 
     def zeta(self, power: int = 1) -> "PBElement":
         """zeta^power in canonical form: one term below the fiber rank r,
-        the relation at r, and zeta^r * zeta^(power - r) above."""
+        the relation at r, and (zeta^r)^q * zeta^s above, power = q*r + s."""
         if not _is_int(power) or power < 0:
             raise ValueError(f"zeta powers must be nonnegative integers, got {power!r}")
         r = self.fiber_rank
         if power < r:
             return PBElement._trusted(self, {(power, _EMPTY): 1})
         top = PBElement._trusted(self, {(j, mu): b for j, group in self._relation for mu, b in group})
-        return top if power == r else top * self.zeta(power - r)
+        q, s = divmod(power, r)
+        return top ** q * self.zeta(s) if s else top ** q
 
     def pullback(self, bundle: ChernVector) -> ChernVector:
         """Pullback of a Chern vector from the base.  Classes above the base's

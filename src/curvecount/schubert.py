@@ -282,11 +282,13 @@ class _Element:
     def __pow__(self, exponent):
         # repeated multiplication by the base, starting from the base, not the
         # unit: squaring reaches basis products that repeated Pieri steps
-        # never need, and measured slower
+        # never need, and measured slower; a zero power ends the loop
         if not _is_int(exponent) or exponent < 0:
             raise ValueError("powers need a nonnegative integer exponent")
         out = self if exponent else self._coerce(1)
         for _ in range(exponent - 1):
+            if not out:
+                break
             out = out * self
         return out
 

@@ -850,6 +850,7 @@ def test_hand_built_non_integers_never_find_their_twins_entry(query, twin):
         (Zeta(), BundleContext(Sum(()), 2, 4), "sum summands must be a nonempty tuple, got ()"),
         (ChernOf(1, BundleAtom("T")), GrassContext(2, 4), "unknown bundle 'T'"),
         (Zeta(), BundleContext(BundleAtom("T"), 2, 4), "unknown bundle 'T'"),
+        (ChernOf(1, BundleAtom(["S"])), GrassContext(2, 4), "unknown bundle ['S']"),
         (Add(((-1, IntLit(2)), (1, IntLit(3)))), GrassContext(2, 4), "the first term of a sum must have sign 1, got -1"),
         (Add(((1, IntLit(2)), (0, IntLit(3)))), GrassContext(2, 4), "sum signs must be 1 or -1, got 0"),
         (Add(((1, IntLit(2)), (5, IntLit(3)))), GrassContext(2, 4), "sum signs must be 1 or -1, got 5"),
