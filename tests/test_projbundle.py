@@ -102,8 +102,8 @@ def test_zeta_at_the_rank_builds_no_product(monkeypatch):
 
 
 def test_zeta_powers_run_in_a_loop():
-    # a rank-one bundle peels one zeta per product: a recursion would nest
-    # 3000 levels deep; Sym^0 is trivial, so zeta itself is zero
+    # on a rank-one bundle zeta^3000 is the relation's 3000th power, deeper
+    # than a recursion per power can go; Sym^0 is trivial, so zeta is zero
     trivial = ProjBundleRing(sym_power(GrassRing(GrassCtx(2, 4)).tautological("sub_dual"), 0))
     assert trivial.fiber_rank == 1 and trivial.zeta(3000) == trivial.zero()
     for pb in (trivial, taut_ring(2, 4, "sub"), taut_ring(2, 5, "quotient"), conic_ring()):
@@ -131,7 +131,7 @@ def test_zeta_powers_stay_canonical():
 
 def test_a_huge_power_of_a_positive_degree_class_is_zero_at_once():
     # each power raises the degree, so the loop meets zero within the top
-    # degree; 10**9 products would run for about half an hour
+    # degree instead of running 10**9 - 1 products
     pb = conic_ring()
     for x in (pb.zeta(1), pb.from_base(schubert_class(GrassCtx(3, 5), (1,))), pb.zeta(1) + pb.zeta(2)):
         assert x ** 10**9 == pb.zero()

@@ -470,8 +470,8 @@ def test_power_is_repeated_product():
 
 
 def test_a_huge_power_of_a_positive_degree_class_is_zero_at_once():
-    # each power raises the degree, so the loop meets zero past dim = 4;
-    # 10**9 products would run for about half an hour
+    # each power raises the degree, so the loop meets zero past dim = 4
+    # instead of running 10**9 - 1 products
     ctx = GrassCtx(2, 4)
     for x in (schubert_class(ctx, (1,)), schubert_class(ctx, (2, 1)), schubert_class(ctx, (1,)) - schubert_class(ctx, (2,))):
         assert x ** 10**9 == SchubertCycle.zero(ctx)
