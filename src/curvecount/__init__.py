@@ -2,8 +2,10 @@
 integrals over Grassmannians and projective bundles.
 
 The engine modules load with the package.  The check suites load on first
-access to one of their names (SUITE_NAMES, CheckResult, run_suite), so a
-process that never runs a check never compiles them.
+access to one of their names (CheckResult, run_suite), so a process that
+never runs a check never compiles them; SUITE_NAMES, the names run_suite
+takes, is declared here, so that the command line can list them without
+loading the suites.
 """
 
 from .chern import (
@@ -53,6 +55,8 @@ from .schubert import (
 )
 
 __version__ = "0.1.0"
+
+SUITE_NAMES = ("classical", "properties", "all")
 
 __all__ = [
     "ChernVector",
@@ -111,7 +115,7 @@ __all__ = [
     "__version__",
 ]
 
-_SUITE_EXPORTS = ("SUITE_NAMES", "CheckResult", "run_suite")
+_SUITE_EXPORTS = ("CheckResult", "run_suite")
 
 
 def __getattr__(name):

@@ -29,7 +29,7 @@ import os
 import sys
 import time
 
-from . import dsl
+from . import SUITE_NAMES, dsl
 from .recipes import (
     builtin_ledgers,
     conics_on_complete_intersection,
@@ -39,10 +39,6 @@ from .recipes import (
     load_ledger_file,
     multiple_cover_weight,
 )
-
-# suites.SUITE_NAMES, spelled out so that building the parser does not load
-# the check suites; a test keeps the two equal
-SUITE_NAMES = ("classical", "properties", "all")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -162,8 +158,13 @@ def _cmd_equivalence(args):
         if args.chern_integrals is not None:
             raise ValueError("--chern-integrals only applies to --family-dim")
         weight = multiple_cover_weight(args.cover)
-        payload = {"recipe": "multiple-cover", "cover_degree": args.cover, "weight": str(weight)}
-        line = f"degree-{args.cover} covers of a rigid rational curve each weigh {weight}"
+        try:
+            text = str(weight)
+        except ValueError:  # a denominator past the interpreter's limit on integer string conversion
+            raise ValueError(f"the weight's denominator has more than {sys.get_int_max_str_digits()} digits, "
+                             "the interpreter's limit for converting an integer to text") from None
+        payload = {"recipe": "multiple-cover", "cover_degree": args.cover, "weight": text}
+        line = f"degree-{args.cover} covers of a rigid rational curve each weigh {text}"
         return payload, [line], True
     value = equivalence_unobstructed(args.family_dim, args.chern_integrals)
     payload = {

@@ -73,6 +73,7 @@ nesting.
 from __future__ import annotations
 
 import re
+import sys
 from functools import lru_cache
 from math import comb
 
@@ -780,9 +781,14 @@ def evaluate(query) -> EvalResult:
         raise EvalError("expression nests too deeply") from None
     except ValueError as exc:  # the library refuses a context, class or quotient
         raise EvalError(str(exc)) from None
+    try:
+        rendered = str(value)
+    except ValueError:  # an integer past the interpreter's limit on integer string conversion
+        raise EvalError(f"the result holds an integer of more than {sys.get_int_max_str_digits()} digits, "
+                        "the interpreter's limit for converting an integer to text") from None
     context = render_context(query.context)
     if isinstance(value, int):
-        return EvalResult("integer", value, str(value), context)
+        return EvalResult("integer", value, rendered, context)
     if isinstance(value, (SchubertCycle, PBElement)):
-        return EvalResult("cycle", value, str(value), context)
+        return EvalResult("cycle", value, rendered, context)
     raise EvalError(f"expression produced an unexpected value {value!r}")

@@ -7,6 +7,10 @@ laws the calculus rests on (Whitney sums, Poincare duality, Pieri and
 Littlewood-Richardson agreement, the projective-bundle relation) over
 every small Grassmannian and over seeded random inputs, so a regression
 anywhere in the tower shows up as a named failing check.
+
+A property check is a generator that yields one outcome per case, None
+when the case passes or the failure's text when it fails; _bulk alone
+counts the cases and failures and turns them into the check's result.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ import math
 import random
 from fractions import Fraction
 
-from .chern import ChernVector, GrassRing, _sym_chern_polys, segre, sym_power, tensor_line
+from . import SUITE_NAMES
+from .chern import GrassRing, _sym_chern_polys, segre, sym_power, tensor_line
 from .projbundle import ProjBundleRing, pb_integrate, pb_pushforward
 from .recipes import (
     builtin_ledgers,
@@ -41,8 +46,6 @@ from .schubert import (
     schubert_class,
 )
 
-SUITE_NAMES = ("classical", "properties", "all")
-
 # Every Grassmannian whose dimension is at most this bound gets the
 # exhaustive treatment in the properties suite.
 _EXHAUSTIVE_DIM = 12
@@ -56,25 +59,23 @@ def _check(name: str, expected, actual) -> CheckResult:
     return CheckResult(name, str(expected), str(actual), expected == actual)
 
 
-def _bulk(name: str, cases: int, failures: list) -> CheckResult:
-    expected = f"{cases} cases, 0 failures"
+def _bulk(name: str, outcomes) -> CheckResult:
+    """The result of a property check, from its outcomes: one per case,
+    None when the case passes, the failure's text when it fails."""
+    outcomes = list(outcomes)
+    failures = [text for text in outcomes if text is not None]
+    expected = f"{len(outcomes)} cases, 0 failures"
     if failures:
-        actual = f"{cases} cases, {len(failures)} failures, first: {failures[0]}"
+        actual = f"{len(outcomes)} cases, {len(failures)} failures, first: {failures[0]}"
     else:
         actual = expected
     return CheckResult(name, expected, actual, not failures)
 
 
 def _small_contexts() -> list:
-    out = []
-    for k in itertools.count(1):
-        if k * 1 > _EXHAUSTIVE_DIM:
-            break
-        for n in itertools.count(k + 1):
-            if k * (n - k) > _EXHAUSTIVE_DIM:
-                break
-            out.append(GrassCtx(k, n))
-    return out
+    """Every G(k, n) of dimension k(n - k) at most _EXHAUSTIVE_DIM."""
+    return [GrassCtx(k, n) for k in range(1, _EXHAUSTIVE_DIM + 1)
+            for n in range(k + 1, k + _EXHAUSTIVE_DIM // k + 1)]
 
 
 # ----------------------------------------------------------- classical suite
@@ -135,37 +136,24 @@ def _classical_suite() -> list:
 
 # ---------------------------------------------------------- properties suite
 
-def _whitney_check(contexts) -> CheckResult:
-    cases, failures = 0, []
+def _whitney_check(contexts):
     for ctx in contexts:
         ring = GrassRing(ctx)
         sub = ring.tautological("sub")
         quot = ring.tautological("quotient")
         for d in range(1, ctx.n + 1):
-            cases += 1
-            acc = ring.zero()
-            for i in range(d + 1):
-                acc = acc + sub.c(i) * quot.c(d - i)
-            if acc != ring.zero():
-                failures.append(f"{ctx} degree {d}")
-    return _bulk("whitney-sub-plus-quotient", cases, failures)
+            acc = sum((sub.c(i) * quot.c(d - i) for i in range(d + 1)), ring.zero())
+            yield None if acc == ring.zero() else f"{ctx} degree {d}"
 
 
-def _duality_check(contexts) -> CheckResult:
-    cases, failures = 0, []
+def _duality_check(contexts):
     for ctx in contexts:
-        by_weight = {}
-        for lam in ctx.box_partitions():
-            by_weight.setdefault(lam.weight, []).append(lam)
         for lam in ctx.box_partitions():
             comp = dual_partition(lam, ctx)
-            for mu in by_weight.get(ctx.dim - lam.weight, []):
-                cases += 1
+            for mu in ctx.box_partitions(ctx.dim - lam.weight):
                 pairing = integrate(multiply(schubert_class(ctx, lam), schubert_class(ctx, mu)))
                 want = 1 if mu == comp else 0
-                if pairing != want:
-                    failures.append(f"{ctx} {tuple(lam)}.{tuple(mu)} = {pairing}, want {want}")
-    return _bulk("duality-pairing", cases, failures)
+                yield None if pairing == want else f"{ctx} {tuple(lam)}.{tuple(mu)} = {pairing}, want {want}"
 
 
 def _rows(lam, k: int) -> list:
@@ -173,25 +161,18 @@ def _rows(lam, k: int) -> list:
     return list(lam) + [0] * (k - len(lam))
 
 
-def _pieri_check(contexts) -> CheckResult:
+def _pieri_check(contexts):
     """sigma_lam * sigma_a from pieri against the rule itself: coefficient
     1 on exactly the box partitions mu of weight |lam| + a with
     lam_i <= mu_i <= lam_(i-1), the horizontal strips added to lam."""
-    cases, failures = 0, []
     for ctx in contexts:
-        by_weight = {}
-        for mu in ctx.box_partitions():
-            by_weight.setdefault(mu.weight, []).append(mu)
         for lam in ctx.box_partitions():
             low = _rows(lam, ctx.k)
             high = [ctx.width] + low[:-1]
             for a in range(ctx.width + 1):
-                cases += 1
-                want = {mu: 1 for mu in by_weight.get(lam.weight + a, [])
+                want = {mu: 1 for mu in ctx.box_partitions(lam.weight + a)
                         if all(lo <= m <= hi for lo, m, hi in zip(low, _rows(mu, ctx.k), high))}
-                if pieri(lam, a, ctx).terms != want:
-                    failures.append(f"{ctx} sigma{tuple(lam)}*sigma_{a}")
-    return _bulk("pieri-multiplicity-free", cases, failures)
+                yield None if pieri(lam, a, ctx).terms == want else f"{ctx} sigma{tuple(lam)}*sigma_{a}"
 
 
 def _random_cycle(rng, ctx, pool):
@@ -202,45 +183,35 @@ def _random_cycle(rng, ctx, pool):
     return sum((c * schubert_class(ctx, lam) for lam, c in terms.items()), SchubertCycle.zero(ctx))
 
 
-def _ring_laws_check(contexts, rng, triples_per_ctx) -> CheckResult:
-    cases, failures = 0, []
+def _ring_laws_check(contexts, rng):
     for ctx in contexts:
         pool = ctx.box_partitions()
-        for _ in range(triples_per_ctx):
-            cases += 1
+        for _ in range(100):  # random triples per Grassmannian
             x = _random_cycle(rng, ctx, pool)
             y = _random_cycle(rng, ctx, pool)
             z = _random_cycle(rng, ctx, pool)
             if (x * y) * z != x * (y * z):
-                failures.append(f"{ctx} associativity {x} | {y} | {z}")
+                yield f"{ctx} associativity {x} | {y} | {z}"
             elif x * y != y * x:
-                failures.append(f"{ctx} commutativity {x} | {y}")
+                yield f"{ctx} commutativity {x} | {y}"
             elif x * (y + z) != x * y + x * z:
-                failures.append(f"{ctx} distributivity {x} | {y} | {z}")
-    return _bulk("product-ring-laws", cases, failures)
+                yield f"{ctx} distributivity {x} | {y} | {z}"
+            else:
+                yield None
 
 
-def _lr_cross_check(rng) -> CheckResult:
-    cases, failures = 0, []
-    for ctx in (GrassCtx(2, 5), GrassCtx(3, 6)):
-        basis = ctx.box_partitions()
-        for lam, mu in itertools.combinations_with_replacement(basis, 2):
-            cases += 1
-            x, y = schubert_class(ctx, lam), schubert_class(ctx, mu)
-            if multiply(x, y) != multiply_lr(x, y):
-                failures.append(f"{ctx} {tuple(lam)}*{tuple(mu)}")
+def _lr_cross_check(rng):
+    pairs = [(ctx, lam, mu) for ctx in (GrassCtx(2, 5), GrassCtx(3, 6))
+             for lam, mu in itertools.combinations_with_replacement(ctx.box_partitions(), 2)]
     for ctx in (GrassCtx(2, 8), GrassCtx(4, 8)):
         basis = ctx.box_partitions()
-        for _ in range(60):
-            cases += 1
-            lam, mu = rng.choice(basis), rng.choice(basis)
-            x, y = schubert_class(ctx, lam), schubert_class(ctx, mu)
-            if multiply(x, y) != multiply_lr(x, y):
-                failures.append(f"{ctx} {tuple(lam)}*{tuple(mu)}")
-    return _bulk("determinant-vs-tableau-products", cases, failures)
+        pairs.extend((ctx, rng.choice(basis), rng.choice(basis)) for _ in range(60))
+    for ctx, lam, mu in pairs:
+        x, y = schubert_class(ctx, lam), schubert_class(ctx, mu)
+        yield None if multiply(x, y) == multiply_lr(x, y) else f"{ctx} {tuple(lam)}*{tuple(mu)}"
 
 
-def _sym_oracle_check(rng) -> CheckResult:
+def _sym_oracle_check(rng):
     """Numeric-roots oracle for the symmetric-power Chern polynomials.
 
     Give the rank-r bundle concrete integer Chern roots, expand the product
@@ -249,12 +220,10 @@ def _sym_oracle_check(rng) -> CheckResult:
     untruncated, evaluated at the elementary symmetric values of the roots.
     Rank 5 runs the polynomials that hold c_4 and c_5.
     """
-    cases, failures = 0, []
     # untruncated, rank 4 costs seconds from m = 4 (Sym^4 has 35 classes)
     for r, powers in ((1, 6), (2, 6), (3, 6), (4, 4), (5, 3)):
         for m in range(powers):
             for trial in range(3):
-                cases += 1
                 roots = [rng.randint(-4, 4) for _ in range(r)]
                 sym_roots = [sum(combo) for combo in itertools.combinations_with_replacement(roots, m)]
                 direct = [1]
@@ -263,13 +232,10 @@ def _sym_oracle_check(rng) -> CheckResult:
                 evalues = [sum(math.prod(c) for c in itertools.combinations(roots, i)) for i in range(1, r + 1)]
                 polys = _sym_chern_polys(r, m, len(sym_roots))
                 symbolic = [sum(c * math.prod(v**e for v, e in zip(evalues, expo)) for expo, c in p.items()) for p in polys]
-                if symbolic != direct[1:]:
-                    failures.append(f"r={r} m={m} roots={roots}")
-    return _bulk("symmetric-power-numeric-oracle", cases, failures)
+                yield None if symbolic == direct[1:] else f"r={r} m={m} roots={roots}"
 
 
-def _segre_check() -> CheckResult:
-    cases, failures = 0, []
+def _segre_check():
     samples = []
     for k, n in ((2, 4), (2, 5), (3, 5)):
         ring = GrassRing(GrassCtx(k, n))
@@ -282,13 +248,8 @@ def _segre_check() -> CheckResult:
         s = segre(bundle, top)
         c = bundle.total_series(top)
         for d in range(1, top + 1):
-            cases += 1
-            acc = ring.zero()
-            for i in range(d + 1):
-                acc = acc + s[i] * c[d - i]
-            if acc != ring.zero():
-                failures.append(f"{ring.ctx} rank {bundle.rank} degree {d}")
-    return _bulk("segre-inverts-chern", cases, failures)
+            acc = sum((s[i] * c[d - i] for i in range(d + 1)), ring.zero())
+            yield None if acc == ring.zero() else f"{ring.ctx} rank {bundle.rank} degree {d}"
 
 
 def _conic_bundle_ring() -> ProjBundleRing:
@@ -296,86 +257,61 @@ def _conic_bundle_ring() -> ProjBundleRing:
     return ProjBundleRing(sym_power(base.tautological("sub_dual"), 2))
 
 
-def _twist_roundtrip_check() -> CheckResult:
-    cases, failures = 0, []
+def _twist_roundtrip_check():
     pb = _conic_bundle_ring()
     zeta = pb.zeta(1)
     for m in (1, 2, 3):
         bundle = pb.pullback(sym_power(pb.base.tautological("sub_dual"), m))
         for ell in (zeta, 2 * zeta, -zeta):
-            cases += 1
             back = tensor_line(tensor_line(bundle, ell), -ell)
-            if back.classes != bundle.classes:
-                failures.append(f"sym^{m} twist by {ell}")
+            yield None if back.classes == bundle.classes else f"sym^{m} twist by {ell}"
     ring = GrassRing(GrassCtx(2, 5))
     sig1 = ring.schubert((1,))
     for which in ("sub_dual", "quotient"):
-        cases += 1
         bundle = ring.tautological(which)
         back = tensor_line(tensor_line(bundle, sig1), -sig1)
-        if back.classes != bundle.classes:
-            failures.append(f"{which} twist by sigma[1]")
-    return _bulk("twist-untwist-roundtrip", cases, failures)
+        yield None if back.classes == bundle.classes else f"{which} twist by sigma[1]"
 
 
 def _bundle_rings_for_relation():
-    out = [_conic_bundle_ring()]
-    ring24 = GrassRing(GrassCtx(2, 4))
-    out.append(ProjBundleRing(ring24.tautological("sub")))
-    ring25 = GrassRing(GrassCtx(2, 5))
-    out.append(ProjBundleRing(ring25.tautological("quotient")))
-    return out
+    return [_conic_bundle_ring(),
+            ProjBundleRing(GrassRing(GrassCtx(2, 4)).tautological("sub")),
+            ProjBundleRing(GrassRing(GrassCtx(2, 5)).tautological("quotient"))]
 
 
-def _grothendieck_check() -> CheckResult:
-    cases, failures = 0, []
+def _grothendieck_check():
     for pb in _bundle_rings_for_relation():
-        cases += 1
         r = pb.fiber_rank
         bundle = pb.pullback(pb.bundle)
         # zeta^r as a product, so that the check runs the reduction rather
         # than reading zeta(r), which is the relation itself
-        acc = pb.zeta(r - 1) * pb.zeta(1)
-        for i in range(1, r + 1):
-            acc = acc + bundle.c(i) * pb.zeta(r - i)
-        if acc != pb.zero():
-            failures.append(str(pb))
-    return _bulk("hyperplane-class-relation", cases, failures)
+        acc = sum((bundle.c(i) * pb.zeta(r - i) for i in range(1, r + 1)), pb.zeta(r - 1) * pb.zeta(1))
+        yield None if acc == pb.zero() else str(pb)
 
 
-def _pushforward_check() -> CheckResult:
-    cases, failures = 0, []
+def _pushforward_check():
     for pb in _bundle_rings_for_relation():
         r = pb.fiber_rank
         s = segre(pb.bundle, pb.base.top_degree)
         for j in range(pb.base.top_degree + 1):
-            cases += 1
-            got = pb_pushforward(pb.zeta(r - 1 + j))
-            if got != s[j]:
-                failures.append(f"{pb} j={j}")
-    return _bulk("fiber-integration-gives-segre", cases, failures)
+            yield None if pb_pushforward(pb.zeta(r - 1 + j)) == s[j] else f"{pb} j={j}"
 
 
-def _projection_formula_check(rng) -> CheckResult:
-    cases, failures = 0, []
+def _projection_formula_check(rng):
     for pb in _bundle_rings_for_relation():
         basis = pb.base.ctx.box_partitions()
         r = pb.fiber_rank
         for _ in range(25):
-            cases += 1
             alpha = schubert_class(pb.base.ctx, rng.choice(basis))
             beta = pb.from_base(schubert_class(pb.base.ctx, rng.choice(basis))) * pb.zeta(rng.randint(0, r - 1))
             lhs = pb_integrate(pb.from_base(alpha) * beta)
             rhs = integrate(multiply(alpha, pb_pushforward(beta)))
-            if lhs != rhs:
-                failures.append(f"{pb} alpha={alpha}")
-    return _bulk("projection-formula", cases, failures)
+            yield None if lhs == rhs else f"{pb} alpha={alpha}"
 
 
-def _hyperplane_check() -> CheckResult:
+def _hyperplane_check():
     """A degree-1 equation one dimension up cuts out the same variety, so
     it leaves every count unchanged."""
-    cases, failures = 0, []
     for recipe, ambient, degrees, extra in (
         (lines_on_complete_intersection, 4, (5,), 2),
         (conics_on_complete_intersection, 4, (5,), 2),
@@ -383,30 +319,30 @@ def _hyperplane_check() -> CheckResult:
     ):
         want = recipe(ambient, degrees).count
         for i in range(1, extra + 1):
-            cases += 1
             got = recipe(ambient + i, (1,) * i + degrees).count
-            if got != want:
-                failures.append(f"{recipe.__name__} {(1,) * i + degrees} in P^{ambient + i}: {got}, want {want}")
-    return _bulk("hyperplane-section-invariance", cases, failures)
+            yield None if got == want else f"{recipe.__name__} {(1,) * i + degrees} in P^{ambient + i}: {got}, want {want}"
 
 
 def _properties_suite(seed: int) -> list:
     rng = random.Random(seed)
     contexts = _small_contexts()
-    return [
-        _whitney_check(contexts),
-        _duality_check(contexts),
-        _pieri_check(contexts),
-        _ring_laws_check(contexts, rng, triples_per_ctx=100),
-        _lr_cross_check(rng),
-        _sym_oracle_check(rng),
-        _segre_check(),
-        _twist_roundtrip_check(),
-        _grothendieck_check(),
-        _pushforward_check(),
-        _projection_formula_check(rng),
-        _hyperplane_check(),
+    # _bulk runs each check to its end before the next starts, so the three
+    # that draw from rng draw in this order
+    checks = [
+        ("whitney-sub-plus-quotient", _whitney_check(contexts)),
+        ("duality-pairing", _duality_check(contexts)),
+        ("pieri-multiplicity-free", _pieri_check(contexts)),
+        ("product-ring-laws", _ring_laws_check(contexts, rng)),
+        ("determinant-vs-tableau-products", _lr_cross_check(rng)),
+        ("symmetric-power-numeric-oracle", _sym_oracle_check(rng)),
+        ("segre-inverts-chern", _segre_check()),
+        ("twist-untwist-roundtrip", _twist_roundtrip_check()),
+        ("hyperplane-class-relation", _grothendieck_check()),
+        ("fiber-integration-gives-segre", _pushforward_check()),
+        ("projection-formula", _projection_formula_check(rng)),
+        ("hyperplane-section-invariance", _hyperplane_check()),
     ]
+    return [_bulk(name, outcomes) for name, outcomes in checks]
 
 
 def run_suite(name: str, seed: int = 2026) -> list:

@@ -211,6 +211,26 @@ def test_grass_overlong_integer_is_a_syntax_error(capsys):
     assert err.strip() == "syntax error at line 1, column 7: integer literal too long"
 
 
+@pytest.mark.parametrize("query", ["{} in G(1,2)", "({})*sigma[1] in G(1,2)"], ids=["integer", "cycle"])
+def test_grass_result_past_the_integer_digit_limit_exits_one(capsys, query):
+    # nine factors within the size caps; the product has about 10800 digits
+    code, out, err = run_cli(capsys, "grass", query.format("*".join(["99999999999999999999^60"] * 9)))
+    assert code == 1
+    assert out == ""
+    assert err == (f"evaluation error: the result holds an integer of more than {sys.get_int_max_str_digits()} "
+                   "digits, the interpreter's limit for converting an integer to text\n")
+
+
+def test_equivalence_cover_past_the_integer_digit_limit_exits_one(capsys):
+    # 1/m^3 for a 1501-digit m has a 4501-digit denominator
+    for json_flag in ([], ["--json"]):
+        code, out, err = run_cli(capsys, "equivalence", *json_flag, "--cover", "1" + "0" * 1500)
+        assert code == 1
+        assert out == ""
+        assert err == (f"error: the weight's denominator has more than {sys.get_int_max_str_digits()} digits, "
+                       "the interpreter's limit for converting an integer to text\n")
+
+
 def test_grass_semantic_error_exits_one(capsys):
     code, _, err = run_cli(capsys, "grass", "zeta in G(2,4)")
     assert code == 1

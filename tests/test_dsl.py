@@ -548,6 +548,19 @@ def test_eval_error_bad_quotient():
         evaluate("c(1, quotient(sym(2, Sdual), Sdual)) in G(2,5)")
 
 
+# nine factors of about 1200 digits each: every one within the size caps,
+# the product past the interpreter's 4300-digit limit on converting to text
+_LONG_PRODUCT = "*".join(["99999999999999999999^60"] * 9)
+
+
+@pytest.mark.parametrize("query", [f"{_LONG_PRODUCT} in G(1,2)", f"({_LONG_PRODUCT})*sigma[1] in G(1,2)"],
+                         ids=["integer", "cycle"])
+def test_a_result_past_the_integer_digit_limit_is_an_eval_error(query):
+    with pytest.raises(EvalError, match=f"more than {sys.get_int_max_str_digits()} digits") as info:
+        evaluate(query)
+    assert "set_int_max_str_digits" not in info.value.diagnostic()
+
+
 def test_zeta_in_expression():
     got = evaluate("zeta*zeta in P(S) over G(2,4)")
     assert got.kind == "cycle"

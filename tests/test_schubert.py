@@ -142,15 +142,13 @@ def test_pieri_validation():
 
 def test_pieri_check_catches_a_missing_strip(monkeypatch):
     import curvecount.schubert as schubert
-    from curvecount.suites import _pieri_check
+    from curvecount.suites import _bulk, _pieri_check
 
     contexts = [GrassCtx(2, 4), GrassCtx(2, 5)]
-    assert _pieri_check(contexts).passed
+    assert _bulk("pieri-multiplicity-free", _pieri_check(contexts)).passed
     inner = schubert._vertical_strips
     monkeypatch.setattr(schubert, "_vertical_strips", lambda lam, a, rows, width: inner(lam, a, rows, width)[:-1])
-    result = _pieri_check(contexts)
-    assert result.name == "pieri-multiplicity-free"
-    assert not result.passed
+    assert not _bulk("pieri-multiplicity-free", _pieri_check(contexts)).passed
 
 
 def test_power_tower_in_g24():
