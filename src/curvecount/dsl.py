@@ -60,6 +60,11 @@ any computation starts:
     MAX_EXPONENT   the exponent of a power times the exponents of the
                    powers around it, so nesting cannot square the cap
 
+The caps do not bound the length of a product, so a long product of large
+powers can hold an integer with more digits than the interpreter converts
+to text (sys.get_int_max_str_digits()); evaluate() refuses such a result
+with an EvalError that names that limit.
+
 Nesting.  The size checks and the evaluator spend one interpreter frame per
 level of nesting, as the parser does for a bundle or a unary minus and more
 for parentheses.  So a query that parses evaluates, cold or warm, within the
