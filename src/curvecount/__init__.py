@@ -50,7 +50,6 @@ from .schubert import (
     lr_coefficient,
     multiply,
     multiply_lr,
-    pieri,
     schubert_class,
 )
 
@@ -103,7 +102,6 @@ __all__ = [
     "pb_integrate",
     "pb_multiply",
     "pb_pushforward",
-    "pieri",
     "reference_counts",
     "render",
     "run_suite",

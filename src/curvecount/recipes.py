@@ -354,6 +354,8 @@ def load_ledger_file(path) -> list:
 
     Unknown top-level keys are ignored so the builtin data format loads too.
     """
+    if not isinstance(path, (str, bytes, os.PathLike)):  # open() would take an int as a descriptor and close it
+        raise ValueError(f"ledger file path must be a str, bytes or os.PathLike, got {path!r}")
     data = _read_json(path)
     if not isinstance(data, dict) or "ledgers" not in data:
         raise ValueError(f"{path}: expected an object with a 'ledgers' list")

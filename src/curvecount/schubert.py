@@ -13,14 +13,14 @@ column fewer, read from the product table or computed into it, and the
 column class adds vertical strips, the dual Pieri rule.  The row form of
 the determinant runs as the column form on the transposed (n-k) x k box,
 the box of the dual Grassmannian G(n-k, n), which maps sigma_lambda to
-sigma_lambda' and horizontal strips to vertical ones; so does pieri.  An
-independent Littlewood-Richardson tableau rule is provided purely as a
-cross-check of that pipeline.
+sigma_lambda' and horizontal strips to vertical ones.  An independent
+Littlewood-Richardson tableau rule is provided purely as a cross-check of
+that pipeline.
 
 A partition is checked once, where it enters: Partition, SchubertCycle,
-schubert_class, pieri and dual_partition check their input, the last four
-through one box check.  Strips, box enumeration, the point class,
-conjugates, tautological classes and arithmetic results are built trusted.
+schubert_class and dual_partition check their input, the last three through
+one box check.  Strips, box enumeration, the point class, conjugates,
+tautological classes and arithmetic results are built trusted.
 That element core is shared with the projective-bundle ring.
 
 Everything here is immutable; operations return new values.  The
@@ -165,15 +165,13 @@ class GrassCtx(_Record):
         """The full-box partition indexing the class of a point."""
         return tuple.__new__(Partition, (self.width,) * self.k)
 
-    def fits(self, lam) -> bool:
-        lam = Partition(lam)
-        return len(lam) <= self.k and (not lam or lam[0] <= self.width)
-
     def box_partitions(self, weight=None) -> list[Partition]:
         """All partitions in the k x (n-k) box, optionally of a fixed weight.
 
         Deterministic order: by weight, then reverse lexicographic.
         """
+        if weight is not None and not _is_int(weight):
+            raise ValueError(f"weight must be an integer, got {weight!r}")
         # picks from width..1 with replacement come out weakly decreasing
         out = [tuple.__new__(Partition, parts) for rows in range(self.k + 1)
                for parts in itertools.combinations_with_replacement(range(self.width, 0, -1), rows)
@@ -244,16 +242,10 @@ class _Element:
         """Terms sorted by the basis order."""
         return sorted(self._terms.items(), key=lambda kv: self._order(kv[0]))
 
-    def codimensions(self) -> list[int]:
-        return sorted({self._degree(key) for key in self._terms})
-
     def component(self, degree: int):
         """Homogeneous part of the given degree."""
         return self._trusted(self._space, {key: c for key, c in self._terms.items()
                                            if self._degree(key) == degree})
-
-    def is_homogeneous(self) -> bool:
-        return len(self.codimensions()) <= 1
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -357,9 +349,6 @@ class SchubertCycle(_Element):
     def zero(cls, ctx: GrassCtx) -> "SchubertCycle":
         return cls._trusted(ctx, {})
 
-    def coefficient(self, lam) -> int:
-        return self._terms.get(Partition(lam), 0)
-
     def _product(self, other):
         return multiply(self, other)
 
@@ -413,20 +402,6 @@ def _vertical_strips(lam: Partition, a: int, rows: int, width: int) -> list[Part
 
     rec(0, a, width, [])
     return out
-
-
-def pieri(lam, a: int, ctx: GrassCtx) -> SchubertCycle:
-    """Multiply sigma_lam by the special class sigma_a.
-
-    Returns the sum of sigma_mu over partitions mu obtained from lam by a
-    horizontal strip of a boxes; every coefficient is 1 and any mu leaving
-    the box is dropped silently.
-    """
-    lam = _box_partition(ctx, lam)
-    if not _is_int(a) or not 0 <= a <= ctx.width:
-        raise ValueError(f"special class index must lie in 0..{ctx.width}, got {a}")
-    # a horizontal strip on lam is a vertical strip on lam' in the transposed box
-    return SchubertCycle._trusted(ctx, {mu.conjugate(): 1 for mu in _vertical_strips(lam.conjugate(), a, ctx.width, ctx.k)})
 
 
 class _ProductTable(dict):

@@ -246,9 +246,10 @@ def test_component_and_codimensions():
     assert mixed.component(1) == pb.zeta(1)
     assert mixed.component(3) == pb.from_base(pb.base.schubert((1,))) * pb.zeta(2)
     assert mixed.component(9) == pb.zero()
-    assert mixed.codimensions() == [0, 1, 3]
-    assert not mixed.is_homogeneous()
-    assert pb.zeta(2).is_homogeneous()
+    # mixed has parts in codimensions 0, 1 and 3; zeta^2 only in 2
+    assert mixed.component(0) + mixed.component(1) + mixed.component(3) == mixed
+    assert all(mixed.component(d) for d in (0, 1, 3))
+    assert pb.zeta(2).component(2) == pb.zeta(2)
 
 
 def test_rendering():
@@ -335,9 +336,10 @@ def assert_valid_element(x):
     revalidated = tuple(SchubertCycle(b.ctx, b.terms) for b in x.coeffs)
     assert PBElement(ring, x.coeffs) == x
     assert PBElement(ring, revalidated) == x
+    ctx = ring.base.ctx
     for (j, lam), c in x.terms.items():
         assert 0 <= j < ring.fiber_rank
-        assert isinstance(lam, Partition) and ring.base.ctx.fits(lam)
+        assert isinstance(lam, Partition) and len(lam) <= ctx.k and (not lam or lam[0] <= ctx.width)
         assert tuple(lam) == tuple(Partition(lam))
         assert isinstance(c, int) and c != 0
 

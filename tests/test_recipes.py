@@ -1,4 +1,5 @@
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -377,6 +378,20 @@ def test_ledger_file_validation(tmp_path):
         bad.write_text(json.dumps({"ledgers": [{"name": "x", "total": total, "components": [component]}]}))
         with pytest.raises(ValueError, match=word):
             load_ledger_file(bad)
+
+
+def test_ledger_file_path_must_be_a_path():
+    # open() takes an int as a file descriptor, reads from it and closes it
+    read_end, write_end = os.pipe()
+    os.write(write_end, b'{"ledgers": []}')
+    os.close(write_end)
+    try:
+        for path in (read_end, True):
+            with pytest.raises(ValueError, match="path"):
+                load_ledger_file(path)
+        os.fstat(read_end)
+    finally:
+        os.close(read_end)
 
 
 def test_reference_counts_are_recorded_not_computed():
