@@ -124,6 +124,33 @@ def test_dual_partition_is_complementary():
             assert dual_partition(comp, ctx) == lam
 
 
+def _special_product(lam, a, ctx):
+    # the Pieri product sigma_lam * sigma_a, as the engine runs it
+    return schubert_class(ctx, lam) * schubert_class(ctx, (a,))
+
+
+def test_pieri_rule_examples():
+    sq = _special_product((1,), 1, G24)
+    assert sq == schubert_class(G24, (2,)) + schubert_class(G24, (1, 1))
+    # boundary of the box: sigma_2 * sigma_1 in G(2,4) loses the (3,) term
+    edge = _special_product((2,), 1, G24)
+    assert edge == schubert_class(G24, (2, 1))
+    assert _special_product((2, 2), 1, G24) == SchubertCycle.zero(G24)
+    assert _special_product((1,), 0, G25) == schubert_class(G25, (1,))
+
+
+def test_pieri_validation():
+    with pytest.raises(ValueError):
+        _special_product((3,), 1, G24)
+    with pytest.raises(ValueError):
+        _special_product((1,), 4, G25)
+    with pytest.raises(ValueError):
+        _special_product((1,), -1, G25)
+    for a in (True, 1.0, 1.5):
+        with pytest.raises(ValueError):
+            _special_product((1,), a, G25)
+
+
 def test_pieri_check_catches_a_missing_strip(monkeypatch):
     import curvecount.schubert as schubert
     from curvecount.suites import _bulk, _pieri_check
