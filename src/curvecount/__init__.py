@@ -1,11 +1,13 @@
 """Exact curve counts on threefolds via Schubert calculus and Chern class
 integrals over Grassmannians and projective bundles.
 
-The engine modules load with the package.  The check suites load on first
-access to one of their names (CheckResult, run_suite), so a process that
-never runs a check never compiles them; SUITE_NAMES, the names run_suite
-takes, is declared here, so that the command line can list them without
-loading the suites.
+The engine modules and the count recipes load with the package.  Two
+modules load on first access to one of their names, listed in _LAZY: the
+family and degeneration bookkeeping (curvecount.bookkeeping) and the check
+suites with the Littlewood-Richardson cross-check (curvecount.suites).  A
+process that only counts never compiles them.  SUITE_NAMES, the names
+run_suite takes, is declared here, so that the command line can list them
+without loading the suites.
 """
 
 from .chern import (
@@ -21,24 +23,10 @@ from .chern import (
 from .dsl import DSLError, EvalError, EvalResult, ParseError, Query, evaluate, parse, render
 from .projbundle import PBElement, ProjBundleRing, pb_integrate, pb_multiply, pb_pushforward
 from .recipes import (
-    ClemensCount,
     CountReport,
-    DegenerationLedger,
-    LedgerComponent,
-    LedgerReport,
-    NormalBundleSplit,
-    builtin_ledgers,
-    clemens_excess,
     conics_on_complete_intersection,
     conics_on_quintic_type,
-    equivalence_unobstructed,
-    equivalence_zero_dim,
-    ledger_check,
     lines_on_complete_intersection,
-    load_ledger_file,
-    multiple_cover_weight,
-    normal_bundle_classify,
-    reference_counts,
 )
 from .schubert import (
     GrassCtx,
@@ -47,9 +35,7 @@ from .schubert import (
     chern_tautological,
     dual_partition,
     integrate,
-    lr_coefficient,
     multiply,
-    multiply_lr,
     schubert_class,
 )
 
@@ -113,18 +99,24 @@ __all__ = [
     "__version__",
 ]
 
-_SUITE_EXPORTS = ("CheckResult", "run_suite")
+# each name of a module that loads on first use, mapped to that module
+_LAZY = {
+    **dict.fromkeys(("ClemensCount", "DegenerationLedger", "LedgerComponent", "LedgerReport",
+                     "NormalBundleSplit", "builtin_ledgers", "clemens_excess", "equivalence_unobstructed",
+                     "equivalence_zero_dim", "ledger_check", "load_ledger_file", "multiple_cover_weight",
+                     "normal_bundle_classify", "reference_counts"), "bookkeeping"),
+    **dict.fromkeys(("CheckResult", "lr_coefficient", "multiply_lr", "run_suite"), "suites"),
+}
 
 
 def __getattr__(name):
-    if name in _SUITE_EXPORTS:
-        from . import suites
-
-        value = getattr(suites, name)
+    if name in _LAZY:
+        module = __import__(f"{__name__}.{_LAZY[name]}", fromlist=[name])  # the submodule itself
+        value = getattr(module, name)
         globals()[name] = value  # later lookups skip this hook
         return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_SUITE_EXPORTS))
+    return sorted(set(globals()) | set(_LAZY))

@@ -30,15 +30,7 @@ import sys
 import time
 
 from . import SUITE_NAMES, dsl
-from .recipes import (
-    builtin_ledgers,
-    conics_on_complete_intersection,
-    equivalence_unobstructed,
-    ledger_check,
-    lines_on_complete_intersection,
-    load_ledger_file,
-    multiple_cover_weight,
-)
+from .recipes import conics_on_complete_intersection, lines_on_complete_intersection
 
 
 class _Parser(argparse.ArgumentParser):
@@ -154,6 +146,8 @@ def _cmd_count(args):
 
 
 def _cmd_equivalence(args):
+    from .bookkeeping import equivalence_unobstructed, multiple_cover_weight  # only this command and ledger use it
+
     if args.cover is not None:
         if args.chern_integrals is not None:
             raise ValueError("--chern-integrals only applies to --family-dim")
@@ -179,6 +173,8 @@ def _cmd_equivalence(args):
 
 
 def _cmd_ledger(args):
+    from .bookkeeping import builtin_ledgers, ledger_check, load_ledger_file
+
     if args.file is None:
         ledgers = [ledger for _, ledger in sorted(builtin_ledgers().items())]
     else:

@@ -13,9 +13,9 @@ column fewer, read from the product table or computed into it, and the
 column class adds vertical strips, the dual Pieri rule.  The row form of
 the determinant runs as the column form on the transposed (n-k) x k box,
 the box of the dual Grassmannian G(n-k, n), which maps sigma_lambda to
-sigma_lambda' and horizontal strips to vertical ones.  An independent
-Littlewood-Richardson tableau rule is provided purely as a cross-check of
-that pipeline.
+sigma_lambda' and horizontal strips to vertical ones.  The check suites
+(curvecount.suites) cross-check that pipeline against an independent
+Littlewood-Richardson tableau rule.
 
 A partition is checked once, where it enters: Partition, SchubertCycle,
 schubert_class and dual_partition check their input, the last three through
@@ -500,74 +500,3 @@ def chern_tautological(ctx: GrassCtx, which: str, i: int) -> SchubertCycle:
     # the range check keeps (i) and (1^i) inside the box
     lam = tuple.__new__(Partition, (i,) if which == "quotient" else (1,) * i)
     return SchubertCycle._trusted(ctx, {lam: (-1) ** i if which == "sub" else 1})
-
-
-def lr_coefficient(lam, mu, nu) -> int:
-    """Littlewood-Richardson coefficient c^nu_{lam,mu}.
-
-    Counts semistandard skew tableaux of shape nu/lam and content mu whose
-    reverse reading word is a lattice word.  Used only to cross-check the
-    Giambelli + Pieri multiplication path.
-    """
-    lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
-    if nu.weight != lam.weight + mu.weight or not nu.contains(lam):
-        return 0
-    if not mu:
-        return 1
-    rows = len(nu)
-    inner = list(lam) + [0] * (rows - len(lam))
-    letters = len(mu)
-
-    cells = []
-    for i in range(rows):
-        for j in range(nu[i] - 1, inner[i] - 1, -1):
-            cells.append((i, j))
-
-    grid = {}
-    counts = [0] * (letters + 1)
-    rem = list(mu)
-    total = 0
-
-    def place(idx):
-        nonlocal total
-        if idx == len(cells):
-            total += 1
-            return
-        i, j = cells[idx]
-        above = grid.get((i - 1, j)) if i > 0 and j >= inner[i - 1] else None
-        right = grid.get((i, j + 1))
-        lo = 1 if above is None else above + 1
-        hi = letters if right is None else right
-        for v in range(lo, hi + 1):
-            if not rem[v - 1]:
-                continue
-            if v > 1 and counts[v] + 1 > counts[v - 1]:
-                continue
-            grid[(i, j)] = v
-            counts[v] += 1
-            rem[v - 1] -= 1
-            place(idx + 1)
-            del grid[(i, j)]
-            counts[v] -= 1
-            rem[v - 1] += 1
-
-    place(0)
-    return total
-
-
-def multiply_lr(x: SchubertCycle, y: SchubertCycle) -> SchubertCycle:
-    """Product computed directly from Littlewood-Richardson coefficients.
-
-    Independent of the Giambelli + Pieri path; the two must agree.
-    """
-    if x.ctx != y.ctx:
-        raise ValueError("cycles live on different Grassmannians")
-    ctx = x.ctx
-    out = {}
-    for lam, a in x._terms.items():
-        for mu, b in y._terms.items():
-            for nu in ctx.box_partitions(weight=lam.weight + mu.weight):
-                c = lr_coefficient(lam, mu, nu)
-                if c:
-                    out[nu] = out.get(nu, 0) + a * b * c
-    return SchubertCycle(ctx, out)

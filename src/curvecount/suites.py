@@ -6,7 +6,9 @@ long-established values.  The "properties" suite exercises the algebraic
 laws the calculus rests on (Whitney sums, Poincare duality, Pieri and
 Littlewood-Richardson agreement, the projective-bundle relation) over
 every small Grassmannian and over seeded random inputs, so a regression
-anywhere in the tower shows up as a named failing check.
+anywhere in the tower shows up as a named failing check.  The
+Littlewood-Richardson rule (lr_coefficient, multiply_lr) lives here, beside
+the one check that uses it.
 
 A property check is a generator that yields one outcome per case, None
 when the case passes or the failure's text when it fails; _bulk alone
@@ -21,27 +23,26 @@ import random
 from fractions import Fraction
 
 from . import SUITE_NAMES
-from .chern import GrassRing, _sym_chern_polys, segre, sym_power, tensor_line
-from .projbundle import ProjBundleRing, pb_integrate, pb_pushforward
-from .recipes import (
+from .bookkeeping import (
     builtin_ledgers,
     clemens_excess,
-    conics_on_complete_intersection,
     equivalence_unobstructed,
     ledger_check,
-    lines_on_complete_intersection,
     multiple_cover_weight,
     normal_bundle_classify,
     reference_counts,
 )
+from .chern import GrassRing, _sym_chern_polys, segre, sym_power, tensor_line
+from .projbundle import ProjBundleRing, pb_integrate, pb_pushforward
+from .recipes import conics_on_complete_intersection, lines_on_complete_intersection
 from .schubert import (
     GrassCtx,
+    Partition,
     SchubertCycle,
     _Record,
     dual_partition,
     integrate,
     multiply,
-    multiply_lr,
     schubert_class,
 )
 
@@ -198,6 +199,77 @@ def _ring_laws_check(contexts, rng):
                 yield f"{ctx} distributivity {x} | {y} | {z}"
             else:
                 yield None
+
+
+def lr_coefficient(lam, mu, nu) -> int:
+    """Littlewood-Richardson coefficient c^nu_{lam,mu}.
+
+    Counts semistandard skew tableaux of shape nu/lam and content mu whose
+    reverse reading word is a lattice word.  Used only to cross-check the
+    Giambelli + Pieri multiplication path.
+    """
+    lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
+    if nu.weight != lam.weight + mu.weight or not nu.contains(lam):
+        return 0
+    if not mu:
+        return 1
+    rows = len(nu)
+    inner = list(lam) + [0] * (rows - len(lam))
+    letters = len(mu)
+
+    cells = []
+    for i in range(rows):
+        for j in range(nu[i] - 1, inner[i] - 1, -1):
+            cells.append((i, j))
+
+    grid = {}
+    counts = [0] * (letters + 1)
+    rem = list(mu)
+    total = 0
+
+    def place(idx):
+        nonlocal total
+        if idx == len(cells):
+            total += 1
+            return
+        i, j = cells[idx]
+        above = grid.get((i - 1, j)) if i > 0 and j >= inner[i - 1] else None
+        right = grid.get((i, j + 1))
+        lo = 1 if above is None else above + 1
+        hi = letters if right is None else right
+        for v in range(lo, hi + 1):
+            if not rem[v - 1]:
+                continue
+            if v > 1 and counts[v] + 1 > counts[v - 1]:
+                continue
+            grid[(i, j)] = v
+            counts[v] += 1
+            rem[v - 1] -= 1
+            place(idx + 1)
+            del grid[(i, j)]
+            counts[v] -= 1
+            rem[v - 1] += 1
+
+    place(0)
+    return total
+
+
+def multiply_lr(x: SchubertCycle, y: SchubertCycle) -> SchubertCycle:
+    """Product computed directly from Littlewood-Richardson coefficients.
+
+    Independent of the Giambelli + Pieri path; the two must agree.
+    """
+    if x.ctx != y.ctx:
+        raise ValueError("cycles live on different Grassmannians")
+    ctx = x.ctx
+    out = {}
+    for lam, a in x._terms.items():
+        for mu, b in y._terms.items():
+            for nu in ctx.box_partitions(weight=lam.weight + mu.weight):
+                c = lr_coefficient(lam, mu, nu)
+                if c:
+                    out[nu] = out.get(nu, 0) + a * b * c
+    return SchubertCycle(ctx, out)
 
 
 def _lr_cross_check(rng):

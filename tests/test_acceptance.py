@@ -9,20 +9,19 @@ clock covers a cold computation, not a lookup.
 import time
 from fractions import Fraction
 
-from curvecount.chern import _sym_chern_polys
-from curvecount.dsl import _eval_atom, _eval_bundle, _node, _resolve_context
-from curvecount.recipes import (
+from curvecount.bookkeeping import (
     builtin_ledgers,
     clemens_excess,
-    conics_on_quintic_type,
     equivalence_unobstructed,
     equivalence_zero_dim,
     ledger_check,
-    lines_on_complete_intersection,
     multiple_cover_weight,
     normal_bundle_classify,
     reference_counts,
 )
+from curvecount.chern import _sym_chern_polys
+from curvecount.dsl import _eval_atom, _eval_bundle, _node, _resolve_context
+from curvecount.recipes import conics_on_quintic_type, lines_on_complete_intersection
 from curvecount.schubert import _PRODUCTS, GrassCtx, integrate, schubert_class
 from curvecount.suites import _small_contexts, run_suite
 

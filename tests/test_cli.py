@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from curvecount import cli, evaluate, parse, render
+from curvecount import cli, dsl, evaluate, parse, render
 
 
 def run_cli(capsys, *argv):
@@ -115,8 +115,8 @@ def test_every_json_payload_ends_with_its_timing(tmp_path, capsys, argv):
 _LIBRARY_CALLS = [
     "curvecount.dsl.evaluate",
     "curvecount.recipes._count",
-    "curvecount.cli.multiple_cover_weight",
-    "curvecount.cli.builtin_ledgers",
+    "curvecount.bookkeeping.multiple_cover_weight",
+    "curvecount.bookkeeping.builtin_ledgers",
     "curvecount.suites.run_suite",
 ]
 
@@ -539,6 +539,17 @@ def test_verify_classical(capsys):
     assert "609250" in out
 
 
+def test_count_past_the_recipe_cap_fails_fast(monkeypatch, capsys):
+    def no_query(query):
+        raise AssertionError("evaluated a query past the cap")
+
+    monkeypatch.setattr(dsl, "_value", no_query)
+    for flags in ([], ["--json"]):
+        code, out, err = run_cli(capsys, "count", "lines", "--ambient", "40", "--degrees", "77", *flags)
+        assert (code, out) == (1, "")
+        assert err == "error: the moduli space of lines in P^40 has dimension 78, above the recipes' cap of 30\n"
+
+
 def test_verify_json(capsys):
     code, payload = run_json(capsys, "verify", "--json", "--suite", "classical")
     assert code == 0
@@ -634,20 +645,35 @@ def test_import_loads_no_dataclasses_inspect_or_resources():
 
 
 def test_import_and_count_load_no_suites_or_fractions():
-    lazy = {"curvecount.suites", "fractions", "decimal"}
+    lazy = {"curvecount.suites", "curvecount.bookkeeping", "fractions", "decimal"}
     loaded = _imported("-c", "import curvecount")
-    assert "curvecount.recipes" in loaded and not loaded & lazy
-    loaded = _imported("-m", "curvecount", "count", "lines", "--ambient", "4", "--degrees", "5", "--json")
-    assert "curvecount.cli" in loaded and not loaded & lazy
+    assert "curvecount.recipes" in loaded and not loaded & (lazy | {"json"})
+    for argv in (["count", "lines", "--ambient", "4", "--degrees", "5", "--json"],
+                 ["grass", "integrate(sigma[1]^4) in G(2,4)"]):
+        loaded = _imported("-m", "curvecount", *argv)
+        assert "curvecount.cli" in loaded and not loaded & lazy
+    for argv in (["ledger", "check"], ["equivalence", "--cover", "3"]):
+        loaded = _imported("-m", "curvecount", *argv)
+        assert "curvecount.bookkeeping" in loaded and "curvecount.suites" not in loaded
     assert "curvecount.suites" in _imported("-m", "curvecount", "verify", "--suite", "classical")
+    assert "curvecount.suites" in _imported("-c", "import curvecount; curvecount.multiply_lr")
 
 
 _SUITE_NAMES_ON_FIRST_ACCESS = """
 import sys, curvecount
 listed = [n for n in curvecount.__all__ if n not in dir(curvecount)]
 print("curvecount.suites" in sys.modules, listed)
+print("curvecount.bookkeeping" in sys.modules,
+      curvecount.ledger_check is sys.modules["curvecount.bookkeeping"].ledger_check, "curvecount.suites" in sys.modules)
 print(curvecount.run_suite is sys.modules["curvecount.suites"].run_suite,
       curvecount.CheckResult is sys.modules["curvecount.suites"].CheckResult, curvecount.SUITE_NAMES)
+homes = {"bookkeeping": ["ClemensCount", "DegenerationLedger", "LedgerComponent", "LedgerReport",
+                         "NormalBundleSplit", "builtin_ledgers", "clemens_excess", "equivalence_unobstructed",
+                         "equivalence_zero_dim", "ledger_check", "load_ledger_file", "multiple_cover_weight",
+                         "normal_bundle_classify", "reference_counts"],
+         "suites": ["CheckResult", "lr_coefficient", "multiply_lr", "run_suite"]}
+print([n for home, names in homes.items() for n in names
+       if n not in curvecount.__all__ or getattr(curvecount, n) is not getattr(sys.modules[f"curvecount.{home}"], n)])
 names = {}
 exec("from curvecount import *", names)
 print([n for n in curvecount.__all__ if n not in names])
@@ -661,7 +687,9 @@ except AttributeError as exc:
 def test_suite_names_resolve_on_first_access():
     assert _run_bare("-c", _SUITE_NAMES_ON_FIRST_ACCESS).stdout.splitlines() == [
         "False []",
+        "False True False",
         "True True ('classical', 'properties', 'all')",
+        "[]",
         "[]",
         "module 'curvecount' has no attribute 'no_such_name'",
     ]

@@ -4,23 +4,25 @@ from fractions import Fraction
 
 import pytest
 
-from curvecount import dsl
-from curvecount.recipes import (
-    CountReport,
+from curvecount import dsl, recipes
+from curvecount.bookkeeping import (
     DegenerationLedger,
     LedgerComponent,
     builtin_ledgers,
     clemens_excess,
-    conics_on_complete_intersection,
-    conics_on_quintic_type,
     equivalence_unobstructed,
     equivalence_zero_dim,
     ledger_check,
-    lines_on_complete_intersection,
     load_ledger_file,
     multiple_cover_weight,
     normal_bundle_classify,
     reference_counts,
+)
+from curvecount.recipes import (
+    CountReport,
+    conics_on_complete_intersection,
+    conics_on_quintic_type,
+    lines_on_complete_intersection,
 )
 
 CLASSICAL_LINE_COUNTS = [
@@ -190,7 +192,7 @@ def test_report_query_text():
 
 
 def test_recipes_ignore_the_dsl_size_caps(monkeypatch):
-    # recipes take any N; only the public evaluate stops a query past a cap
+    # recipes skip the DSL's caps (theirs is MAX_MODULI_DIM); only the public evaluate stops a query past one
     # G(2,15) has dimension 26, past MAX_DIMENSION
     report = lines_on_complete_intersection(14, (1,) * 10 + (5,))
     assert report.count == 2875
@@ -206,6 +208,25 @@ def test_recipes_ignore_the_dsl_size_caps(monkeypatch):
     assert report.count == 2875
     with pytest.raises(dsl.EvalError, match="above the cap of 5"):
         dsl.evaluate(report.query)
+
+
+def test_recipes_refuse_a_balanced_count_past_the_cap(monkeypatch):
+    evaluated = []
+    monkeypatch.setattr(dsl, "_value", lambda query: evaluated.append(query) or -1)
+    assert recipes.MAX_MODULI_DIM == 30
+    # at the cap: lines in P^16 (G(2,17)) and conics in P^10 reach the evaluation
+    assert lines_on_complete_intersection(16, (29,)).count == -1
+    assert conics_on_complete_intersection(10, (14,)).count == -1
+    assert len(evaluated) == 2
+    for recipe, ambient, degrees, dim in ((lines_on_complete_intersection, 17, (31,), 32),
+                                          (lines_on_complete_intersection, 40, (77,), 78),
+                                          (conics_on_complete_intersection, 11, (7, 8), 32)):
+        with pytest.raises(ValueError, match=rf"has dimension {dim}, above the recipes' cap of 30"):
+            recipe(ambient, degrees)
+    assert len(evaluated) == 2
+    # an unbalanced recipe reports its family at any size
+    assert lines_on_complete_intersection(40, (5,)).family_dimension == 72
+    assert conics_on_complete_intersection(40, (5,)).family_dimension == 108
 
 
 def test_expected_empty_when_rank_exceeds_dimension():
@@ -378,6 +399,16 @@ def test_ledger_file_validation(tmp_path):
         bad.write_text(json.dumps({"ledgers": [{"name": "x", "total": total, "components": [component]}]}))
         with pytest.raises(ValueError, match=word):
             load_ledger_file(bad)
+
+
+def test_ledger_file_refuses_a_count_below_one(tmp_path):
+    # a negative count with a negative total would otherwise balance
+    path = tmp_path / "members.json"
+    for count, total in ((0, 0), (-1, -2875)):
+        component = {"label": "lines", "equivalence": 2875, "count": count}
+        path.write_text(json.dumps({"ledgers": [{"name": "x", "total": total, "components": [component]}]}))
+        with pytest.raises(ValueError, match=rf"ledger 0: component 0 must have a count of at least 1, got {count}"):
+            load_ledger_file(path)
 
 
 def test_ledger_file_path_must_be_a_path():

@@ -6,6 +6,16 @@ import pickle
 
 import pytest
 
+from curvecount.bookkeeping import (
+    ClemensCount,
+    DegenerationLedger,
+    LedgerComponent,
+    LedgerReport,
+    NormalBundleSplit,
+    clemens_excess,
+    ledger_check,
+    normal_bundle_classify,
+)
 from curvecount.chern import ChernVector, GrassRing
 from curvecount.dsl import (
     Add,
@@ -28,17 +38,7 @@ from curvecount.dsl import (
     evaluate,
     parse,
 )
-from curvecount.recipes import (
-    ClemensCount,
-    DegenerationLedger,
-    LedgerComponent,
-    LedgerReport,
-    NormalBundleSplit,
-    clemens_excess,
-    ledger_check,
-    lines_on_complete_intersection,
-    normal_bundle_classify,
-)
+from curvecount.recipes import lines_on_complete_intersection
 from curvecount.schubert import GrassCtx
 from curvecount.suites import CheckResult
 

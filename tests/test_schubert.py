@@ -18,11 +18,10 @@ from curvecount.schubert import (
     chern_tautological,
     dual_partition,
     integrate,
-    lr_coefficient,
     multiply,
-    multiply_lr,
     schubert_class,
 )
+from curvecount.suites import lr_coefficient, multiply_lr
 
 G24 = GrassCtx(2, 4)
 G25 = GrassCtx(2, 5)
