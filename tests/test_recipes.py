@@ -391,24 +391,19 @@ def test_ledger_file_validation(tmp_path):
     bad.write_text(json.dumps({"nothing": []}))
     with pytest.raises(ValueError, match="ledgers"):
         load_ledger_file(bad)
-    # JSON true is a bool, not the integer 1; a label is not coerced to a string
+    # JSON true is a bool, not the integer 1; a label is not coerced to a string;
+    # a count below 1 is refused, as a negative count and total would balance
     for total, component, word in ((True, {"label": "y", "equivalence": 1}, "integer"),
                                    (1, {"label": "y", "equivalence": True}, "integer"),
                                    (1, {"label": "y", "equivalence": 1, "count": True}, "integer"),
-                                   (1, {"label": {"a": 1}, "equivalence": 5}, "label")):
+                                   (1, {"label": {"a": 1}, "equivalence": 5}, "label"),
+                                   (0, {"label": "y", "equivalence": 5, "count": 0},
+                                    "ledger 0: component 0 must have a count of at least 1, got 0"),
+                                   (-5, {"label": "y", "equivalence": 5, "count": -1},
+                                    "ledger 0: component 0 must have a count of at least 1, got -1")):
         bad.write_text(json.dumps({"ledgers": [{"name": "x", "total": total, "components": [component]}]}))
         with pytest.raises(ValueError, match=word):
             load_ledger_file(bad)
-
-
-def test_ledger_file_refuses_a_count_below_one(tmp_path):
-    # a negative count with a negative total would otherwise balance
-    path = tmp_path / "members.json"
-    for count, total in ((0, 0), (-1, -2875)):
-        component = {"label": "lines", "equivalence": 2875, "count": count}
-        path.write_text(json.dumps({"ledgers": [{"name": "x", "total": total, "components": [component]}]}))
-        with pytest.raises(ValueError, match=rf"ledger 0: component 0 must have a count of at least 1, got {count}"):
-            load_ledger_file(path)
 
 
 def test_ledger_file_path_must_be_a_path():
