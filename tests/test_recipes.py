@@ -191,6 +191,48 @@ def test_report_query_text():
         assert "query:" not in report.describe()
 
 
+# every balanced recipe of the classical suite, and (1,5) in P^5 for the d = 1
+# forms: the exact query text and count of each report
+PINNED_QUERIES = [
+    (lines_on_complete_intersection, 4, (5,), "integrate(c(6, sym(5, Sdual))) in G(2,5)", 2875),
+    (lines_on_complete_intersection, 3, (3,), "integrate(c(4, sym(3, Sdual))) in G(2,4)", 27),
+    (lines_on_complete_intersection, 7, (2, 2, 2, 2),
+     "integrate(c(12, sum(sym(2, Sdual), sym(2, Sdual), sym(2, Sdual), sym(2, Sdual)))) in G(2,8)", 512),
+    (lines_on_complete_intersection, 6, (2, 2, 3),
+     "integrate(c(10, sum(sym(2, Sdual), sym(2, Sdual), sym(3, Sdual)))) in G(2,7)", 720),
+    (lines_on_complete_intersection, 5, (3, 3), "integrate(c(8, sum(sym(3, Sdual), sym(3, Sdual)))) in G(2,6)", 1053),
+    (lines_on_complete_intersection, 5, (2, 4), "integrate(c(8, sum(sym(2, Sdual), sym(4, Sdual)))) in G(2,6)", 1280),
+    (lines_on_complete_intersection, 5, (1, 5), "integrate(c(8, sum(sym(1, Sdual), sym(5, Sdual)))) in G(2,6)", 2875),
+    (conics_on_complete_intersection, 5, (3, 3),
+     "integrate(c(14, sum(quotient(sym(3, Sdual), twist(sym(1, Sdual), -1)), "
+     "quotient(sym(3, Sdual), twist(sym(1, Sdual), -1))))) in P(sym(2, Sdual)) over G(3,6)", 52812),
+    (conics_on_complete_intersection, 5, (2, 4),
+     "integrate(c(14, sum(quotient(sym(2, Sdual), twist(sym(0, Sdual), -1)), "
+     "quotient(sym(4, Sdual), twist(sym(2, Sdual), -1))))) in P(sym(2, Sdual)) over G(3,6)", 92288),
+    (conics_on_complete_intersection, 6, (2, 2, 3),
+     "integrate(c(17, sum(quotient(sym(2, Sdual), twist(sym(0, Sdual), -1)), "
+     "quotient(sym(2, Sdual), twist(sym(0, Sdual), -1)), "
+     "quotient(sym(3, Sdual), twist(sym(1, Sdual), -1))))) in P(sym(2, Sdual)) over G(3,7)", 22428),
+    (conics_on_complete_intersection, 7, (2, 2, 2, 2),
+     "integrate(c(20, sum(quotient(sym(2, Sdual), twist(sym(0, Sdual), -1)), "
+     "quotient(sym(2, Sdual), twist(sym(0, Sdual), -1)), quotient(sym(2, Sdual), twist(sym(0, Sdual), -1)), "
+     "quotient(sym(2, Sdual), twist(sym(0, Sdual), -1))))) in P(sym(2, Sdual)) over G(3,8)", 9728),
+    (conics_on_complete_intersection, 4, (5,),
+     "integrate(c(11, quotient(sym(5, Sdual), twist(sym(3, Sdual), -1)))) in P(sym(2, Sdual)) over G(3,5)", 609250),
+    (conics_on_complete_intersection, 5, (1, 5),
+     "integrate(c(14, sum(sym(1, Sdual), quotient(sym(5, Sdual), twist(sym(3, Sdual), -1)))))"
+     " in P(sym(2, Sdual)) over G(3,6)", 609250),
+]
+
+
+@pytest.mark.parametrize("recipe,ambient,degrees,query,count", PINNED_QUERIES,
+                         ids=[f"{recipe.__name__.split('_')[0]}-" + "x".join(map(str, degrees)) + f"-in-P{ambient}"
+                              for recipe, ambient, degrees, _, _ in PINNED_QUERIES])
+def test_recipe_queries_are_pinned(recipe, ambient, degrees, query, count):
+    report = recipe(ambient, degrees)
+    assert (report.query, report.count) == (query, count)
+
+
 def test_recipes_ignore_the_dsl_size_caps(monkeypatch):
     # recipes skip the DSL's caps (theirs is MAX_MODULI_DIM); only the public evaluate stops a query past one
     # G(2,15) has dimension 26, past MAX_DIMENSION
