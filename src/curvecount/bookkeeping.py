@@ -140,6 +140,13 @@ class LedgerComponent(_Record):
     _fields = ("label", "equivalence", "count")
 
     def __new__(cls, label: str, equivalence: int, count: int = 1):
+        # a ledger file's messages are these, after the component's position
+        if not isinstance(label, str):
+            raise ValueError("label must be a string")
+        if not _is_int(equivalence) or not _is_int(count):
+            raise ValueError("must use integer equivalence and count")
+        if count < 1:  # a negative count and total would balance
+            raise ValueError(f"must have a count of at least 1, got {count}")
         return tuple.__new__(cls, (label, equivalence, count))
 
     @property
@@ -152,6 +159,12 @@ class DegenerationLedger(_Record):
     when the variety degenerates."""
 
     _fields = ("name", "total", "components")
+
+    def __new__(cls, name: str, total: int, components: tuple):
+        if (not isinstance(name, str) or not _is_int(total) or not isinstance(components, tuple)
+                or not all(isinstance(c, LedgerComponent) for c in components)):
+            raise ValueError("a ledger needs a string name, an integer total and a tuple of LedgerComponent")
+        return tuple.__new__(cls, (name, total, components))
 
     @property
     def computed(self) -> int:
@@ -190,14 +203,10 @@ def _parse_ledger(obj, origin: str) -> DegenerationLedger:
         where = f"{origin}: component {i}"
         if not isinstance(c, dict) or "label" not in c or "equivalence" not in c:
             raise ValueError(f"{where} needs label and equivalence")
-        if not isinstance(c["label"], str):
-            raise ValueError(f"{where} label must be a string")
-        count = c.get("count", 1)
-        if not _is_int(c["equivalence"]) or not _is_int(count):
-            raise ValueError(f"{where} must use integer equivalence and count")
-        if count < 1:
-            raise ValueError(f"{where} must have a count of at least 1, got {count}")
-        comps.append(LedgerComponent(c["label"], c["equivalence"], count))
+        try:
+            comps.append(LedgerComponent(c["label"], c["equivalence"], c.get("count", 1)))
+        except ValueError as exc:
+            raise ValueError(f"{where} {exc}") from None
     return DegenerationLedger(name, total, tuple(comps))
 
 

@@ -29,8 +29,7 @@ import os
 import sys
 import time
 
-from . import SUITE_NAMES, dsl
-from .recipes import conics_on_complete_intersection, lines_on_complete_intersection
+from . import SUITE_NAMES, dsl, recipes
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,9 +60,6 @@ def _int_list(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"expected a comma-separated integer list: {exc}") from None
 
 
-_COUNTERS = {"lines": lines_on_complete_intersection, "conics": conics_on_complete_intersection}
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="curvecount", description="Exact curve counts via Chern class integrals.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
@@ -81,7 +77,7 @@ def build_parser() -> _Parser:
                               help="dimension of the ambient projective space")
     intersection.add_argument("--degrees", type=_int_list, metavar="d1,d2,...",
                               help="degrees of the defining equations")
-    for curve in _COUNTERS:
+    for curve in recipes._CURVES:
         count_sub.add_parser(curve, parents=[json_flag, intersection],
                              help=f"{curve} on a complete intersection")
 
@@ -126,7 +122,7 @@ def _cmd_grass(args):
 def _cmd_count(args):
     if args.ambient is None or args.degrees is None:
         raise ValueError(f"count {args.recipe} needs --ambient and --degrees")
-    report = _COUNTERS[args.recipe](args.ambient, args.degrees)
+    report = recipes._count(args.recipe, args.ambient, args.degrees)
     if report.count is not None:
         outcome = {"count": report.count}
     else:

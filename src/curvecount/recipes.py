@@ -10,6 +10,18 @@ Chern class:
   each equation contributes the quotient of Sym^d(S*) by the multiples of
   the conic's equation, Sym^(d-2)(S*) (x) O(-1).
 
+The table _CURVES holds one row per curve, and it alone decides which
+curves are counted and on which space: the curve degree e, the moduli
+context as a DSL node for n = N + 1, the moduli dimension as a function of
+N, and the forms node of a degree-d equation.  _count reads the row and
+holds no branch on the curve; the CLI's count subcommands are the table's
+keys, in its order, and the classical suite names its goldens by key.  To
+add a recipe (degeneration components with a virtual difference, the
+threefold's own numbers from a fixed integrand, lines on a threefold in a
+Grassmannian), add a row and a public function that is one call of
+_count with the row's key: the new row gets a CLI subcommand, the input
+check and the MAX_MODULI_DIM cap with no other change.
+
 A degree-d equation adds rank e*d + 1.  Rank and moduli dimension follow from
 the inputs alone, so when they differ the recipe reports the dimension of
 the expected family without building any ring.  Otherwise the count is
@@ -81,27 +93,16 @@ class CountReport(_Record):
         return "\n".join(lines)
 
 
-def _count(curve: str, ambient_dim: int, degrees: tuple) -> CountReport:
-    e = 1 if curve == "lines" else 2
-    rank = sum(e * d + 1 for d in degrees)
-    dim = 2 * (ambient_dim - 1) if e == 1 else 3 * (ambient_dim - 2) + 5
-    calabi_yau = sum(degrees) == ambient_dim + 1
-    if rank != dim:
-        return CountReport(curve, ambient_dim, degrees, dim, rank, None, dim - rank, calabi_yau)
-    if dim > MAX_MODULI_DIM:
-        raise ValueError(f"the moduli space of {curve} in P^{ambient_dim} has dimension {dim}, "
-                         f"above the recipes' cap of {MAX_MODULI_DIM}")
-    sdual, n = dsl.BundleAtom("Sdual"), ambient_dim + 1
-    summands = []
-    for d in degrees:
-        forms = dsl.Sym(d, sdual)  # a conic's forms are taken modulo its equation's multiples
-        summands.append(forms if e == 1 or d == 1 else dsl.Quotient(forms, dsl.Twist(dsl.Sym(d - 2, sdual), -1)))
-    bundle = summands[0] if len(summands) == 1 else dsl.Sum(tuple(summands))
-    space = dsl.GrassContext(2, n) if e == 1 else dsl.BundleContext(dsl.Sym(2, sdual), 3, n)
-    query = dsl.Query(dsl.IntegrateNode(dsl.ChernOf(rank, bundle)), space)
-    # the recipes' cap is not the DSL's: a count's query may lie past the DSL's size caps
-    count = dsl._value(query)
-    return CountReport(curve, ambient_dim, degrees, dim, rank, count, None, calabi_yau, dsl.render(query))
+_SDUAL = dsl.BundleAtom("Sdual")
+
+# curve -> (curve degree e, moduli context for n = N + 1, moduli dimension in P^N, forms of a degree-d equation)
+_CURVES = {
+    "lines": (1, lambda n: dsl.GrassContext(2, n), lambda N: 2 * (N - 1), lambda d: dsl.Sym(d, _SDUAL)),
+    # a conic's forms are taken modulo its equation's multiples
+    "conics": (2, lambda n: dsl.BundleContext(dsl.Sym(2, _SDUAL), 3, n), lambda N: 3 * (N - 2) + 5,
+               lambda d: dsl.Sym(d, _SDUAL) if d == 1
+               else dsl.Quotient(dsl.Sym(d, _SDUAL), dsl.Twist(dsl.Sym(d - 2, _SDUAL), -1))),
+}
 
 
 def _complete_intersection_degrees(ambient_dim, degrees) -> tuple:
@@ -114,6 +115,25 @@ def _complete_intersection_degrees(ambient_dim, degrees) -> tuple:
     return degrees
 
 
+def _count(curve: str, ambient_dim, degrees) -> CountReport:
+    degrees = _complete_intersection_degrees(ambient_dim, degrees)
+    e, context, dimension, forms = _CURVES[curve]
+    rank = sum(e * d + 1 for d in degrees)
+    dim = dimension(ambient_dim)
+    calabi_yau = sum(degrees) == ambient_dim + 1
+    if rank != dim:
+        return CountReport(curve, ambient_dim, degrees, dim, rank, None, dim - rank, calabi_yau)
+    if dim > MAX_MODULI_DIM:
+        raise ValueError(f"the moduli space of {curve} in P^{ambient_dim} has dimension {dim}, "
+                         f"above the recipes' cap of {MAX_MODULI_DIM}")
+    summands = [forms(d) for d in degrees]
+    bundle = summands[0] if len(summands) == 1 else dsl.Sum(tuple(summands))
+    query = dsl.Query(dsl.IntegrateNode(dsl.ChernOf(rank, bundle)), context(ambient_dim + 1))
+    # the recipes' cap is not the DSL's: a count's query may lie past the DSL's size caps
+    count = dsl._value(query)
+    return CountReport(curve, ambient_dim, degrees, dim, rank, count, None, calabi_yau, dsl.render(query))
+
+
 def lines_on_complete_intersection(ambient_dim: int, degrees) -> CountReport:
     """Lines on a generic complete intersection of the given degrees in P^N.
 
@@ -123,7 +143,7 @@ def lines_on_complete_intersection(ambient_dim: int, degrees) -> CountReport:
     lines form a family of the reported dimension.  The calabi_yau flag
     records whether the degrees sum to N+1.
     """
-    return _count("lines", ambient_dim, _complete_intersection_degrees(ambient_dim, degrees))
+    return _count("lines", ambient_dim, degrees)
 
 
 def conics_on_complete_intersection(ambient_dim: int, degrees) -> CountReport:
@@ -136,11 +156,11 @@ def conics_on_complete_intersection(ambient_dim: int, degrees) -> CountReport:
     line (Sym^1(S*) itself for d = 1).  Counts and families are reported as
     for lines.
     """
-    return _count("conics", ambient_dim, _complete_intersection_degrees(ambient_dim, degrees))
+    return _count("conics", ambient_dim, degrees)
 
 
 def conics_on_quintic_type(degree: int) -> CountReport:
     """Conics on a generic degree-d hypersurface in P^4, as reported by
     conics_on_complete_intersection(4, (degree,)): the count 609250 for
     d = 5, otherwise the family dimension 11 - (2d+1)."""
-    return conics_on_complete_intersection(4, (degree,))
+    return _count("conics", 4, (degree,))

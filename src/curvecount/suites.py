@@ -34,7 +34,7 @@ from .bookkeeping import (
 )
 from .chern import GrassRing, _sym_chern_polys, segre, sym_power, tensor_line
 from .projbundle import ProjBundleRing, pb_integrate, pb_pushforward
-from .recipes import conics_on_complete_intersection, lines_on_complete_intersection
+from .recipes import _count, conics_on_complete_intersection, lines_on_complete_intersection
 from .schubert import (
     GrassCtx,
     Partition,
@@ -83,7 +83,6 @@ def _small_contexts() -> list:
 def _classical_suite() -> list:
     results = []
 
-    counters = {"lines": lines_on_complete_intersection, "conics": conics_on_complete_intersection}
     goldens = [
         ("lines", 4, (5,), 2875),
         ("lines", 3, (3,), 27),
@@ -100,7 +99,7 @@ def _classical_suite() -> list:
         ("conics", 4, (5,), 609250),
     ]
     for curve, ambient, degrees, expected in goldens:
-        report = counters[curve](ambient, degrees)
+        report = _count(curve, ambient, degrees)
         label = f"{curve}-" + "x".join(str(d) for d in degrees) + f"-in-P{ambient}"
         results.append(_check(label, expected, report.count))
 

@@ -391,6 +391,26 @@ def test_corrupted_ledger_is_rejected():
     assert report.residual == 600
 
 
+def test_ledger_records_check_their_fields():
+    # built directly, a record refuses what a ledger file would
+    with pytest.raises(ValueError, match="must have a count of at least 1, got -1"):
+        ledger_check(DegenerationLedger("x", -2875, (LedgerComponent("lines", 2875, -1),)))
+    for args, word in ((("a", 1.5, True), "integer equivalence and count"),
+                       (("a", 5, True), "integer equivalence and count"),
+                       (("a", True), "integer equivalence and count"),
+                       (("a", 5, 2.0), "integer equivalence and count"),
+                       (("a", 5, 0), "at least 1, got 0"),
+                       ((3, 5), "label must be a string")):
+        with pytest.raises(ValueError, match=word):
+            LedgerComponent(*args)
+    comp = LedgerComponent("a", 5)
+    for args in (("x", True, (comp,)), ("x", 5.0, (comp,)), (5, 5, (comp,)), ("x", 5, [comp]),
+                 ("x", 5, (comp, ("b", 1, 1))), ("x", 5, comp)):
+        with pytest.raises(ValueError, match="a ledger needs a string name, an integer total and a tuple"):
+            DegenerationLedger(*args)
+    assert DegenerationLedger("x", 5, ()).computed == 0
+
+
 def test_component_contribution_scales_with_count():
     comp = LedgerComponent("cones", 20, 50)
     assert comp.contribution == 1000
