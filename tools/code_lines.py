@@ -52,15 +52,17 @@ def measure(source: str) -> tuple:
     return len(source.splitlines()), len(code), statements
 
 
+def _total(sizes) -> tuple:
+    return tuple(sum(column) for column in zip(*sizes))
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         print("usage: python tools/code_lines.py PACKAGE_DIR", file=sys.stderr)
         return 1
     sizes = {path.stem: measure(path.read_text(encoding="utf-8")) for path in sorted(Path(argv[0]).glob("*.py"))}
-    rows = list(sizes.items())
-    rows.append(("(count loads)", [sum(col) for col in zip(*(v for k, v in sizes.items()
-                                                           if k not in NOT_LOADED_BY_COUNT))]))
-    rows.append(("(package)", [sum(col) for col in zip(*sizes.values())]))
+    loaded = [size for name, size in sizes.items() if name not in NOT_LOADED_BY_COUNT]
+    rows = [*sizes.items(), ("(count loads)", _total(loaded)), ("(package)", _total(sizes.values()))]
     print(f"{'module':<16}{'physical':>10}{'code':>8}{'stmts':>8}")
     for name, (physical, code, statements) in rows:
         print(f"{name:<16}{physical:>10}{code:>8}{statements:>8}")
