@@ -176,6 +176,12 @@ class LedgerReport(_Record):
 
     _fields = ("name", "total", "computed", "ok")
 
+    def __new__(cls, name: str, total: int, computed: int, ok: bool):
+        if ok is not (computed == total):
+            raise ValueError(f"a ledger report is ok exactly when computed == total, "
+                             f"got ok={ok!r} with total {total!r} and computed {computed!r}")
+        return tuple.__new__(cls, (name, total, computed, ok))
+
     @property
     def residual(self) -> int:
         return self.total - self.computed

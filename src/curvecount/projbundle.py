@@ -187,7 +187,7 @@ def pb_multiply(x: PBElement, y: PBElement) -> PBElement:
         for (j, mu), b in y._terms.items():
             slot = slots[i + j]
             ab = a * b
-            for nu, c in _PRODUCTS[(k, n, lam, mu) if lam <= mu else (k, n, mu, lam)]:
+            for nu, c in _PRODUCTS[k, n, lam, mu]:
                 slot[nu] = slot.get(nu, 0) + ab * c
     for power in range(2 * r - 2, r - 1, -1):
         for lam, a in slots[power].items():
@@ -197,7 +197,7 @@ def pb_multiply(x: PBElement, y: PBElement) -> PBElement:
                 slot = slots[power - r + j]
                 for mu, b in group:
                     ab = a * b
-                    for nu, c in _PRODUCTS[(k, n, lam, mu) if lam <= mu else (k, n, mu, lam)]:
+                    for nu, c in _PRODUCTS[k, n, lam, mu]:
                         slot[nu] = slot.get(nu, 0) + ab * c
     return PBElement._trusted(ring, {(j, nu): c for j in range(r) for nu, c in slots[j].items() if c})
 

@@ -109,8 +109,11 @@ def _complete_intersection_degrees(ambient_dim, degrees) -> tuple:
     # nothing is converted: a float or a string degree is an error, not rounded
     if not _is_int(ambient_dim) or ambient_dim < 3:
         raise ValueError(f"ambient projective dimension must be an integer >= 3, got {ambient_dim!r}")
-    degrees = tuple(degrees)
-    if not degrees or not all(_is_int(d) and d >= 1 for d in degrees):
+    try:
+        degrees = tuple(degrees)
+    except TypeError:  # not iterable: refused below, shown as given
+        pass
+    if not isinstance(degrees, tuple) or not degrees or not all(_is_int(d) and d >= 1 for d in degrees):
         raise ValueError(f"hypersurface degrees must be positive integers, got {degrees!r}")
     return degrees
 

@@ -25,12 +25,14 @@ That element core is shared with the projective-bundle ring.
 
 Everything here is immutable; operations return new values.  The
 structure constants of basis pairs live in one product table, _PRODUCTS,
-for every Grassmannian: a dict from (k, n, lam, mu), lam <= mu, to the tuple
-of ((nu, coeff), ...) terms of sigma_lam * sigma_mu on G(k, n), read by both
-multiply and the projective-bundle product.  It fills itself: a missing key
-is computed by __missing__ and stored.  Sharing it across threads is safe:
-an entry is never changed once stored, and two threads that miss on the
-same key only store the same tuple twice.
+for every Grassmannian: a dict from (k, n, lam, mu) to the tuple of
+((nu, coeff), ...) terms of sigma_lam * sigma_mu on G(k, n), read by both
+multiply and the projective-bundle product with the factors in the order
+they come.  A product and its transpose are one value: the table fills
+itself, computing a missing key by __missing__ and storing the one tuple
+under both orders.  Sharing it across threads is safe: an entry is never
+changed once stored, and two threads that miss on the same key only store
+the same tuple twice.
 """
 
 from __future__ import annotations
@@ -420,17 +422,20 @@ class _ProductTable(dict):
         product with one column fewer, read from this table (sigma_mu itself
         when lam(j) is empty, never stored), and gets vertical strips of
         c_j - j boxes, the dual Pieri rule.
-        The factor with the smaller min(rows, columns) is expanded, in the row
-        form when it has fewer rows than columns, the column form winning
-        ties.  The row form is the column form on the transposed (n-k) x k
-        box, so the sub-products' terms go in conjugated and the result comes
-        out conjugated.
+        The factor expanded is the least by (min(rows, columns), rows <
+        columns, the partition): the smaller box side, then the column form,
+        then the smaller partition, so either order of the key computes the
+        same sub-products.  It is expanded in the row form when it has fewer
+        rows than columns.  The row form is the column form on the transposed
+        (n-k) x k box, so the sub-products' terms go in conjugated and the
+        result comes out conjugated.  The result is stored under both orders
+        of the key.
         """
         k, n, lam, mu = key
-        if not lam:  # lam <= mu, so mu is empty only when lam is
-            self[key] = out = ((mu, 1),)
+        if not lam or not mu:  # the unit times sigma_nu is sigma_nu
+            self[key] = self[k, n, mu, lam] = out = ((lam or mu, 1),)
             return out
-        if (min(len(mu), mu[0]), len(mu) < mu[0]) < (min(len(lam), lam[0]), len(lam) < lam[0]):
+        if (min(len(mu), mu[0]), len(mu) < mu[0], mu) < (min(len(lam), lam[0]), len(lam) < lam[0], lam):
             lam, mu = mu, lam
         transposed = len(lam) < lam[0]
         if transposed:
@@ -445,17 +450,15 @@ class _ProductTable(dict):
             if shape and shape[0] > rows:
                 continue
             sub = shape if transposed else shape.conjugate()
-            if not sub:
-                prod = ((mu, 1),)
-            else:
-                prod = self[(k, n, sub, mu) if sub <= mu else (k, n, mu, sub)]
+            prod = self[k, n, sub, mu] if sub else ((mu, 1),)
             sign = -1 if j & 1 else 1
             for nu, c in prod:
                 for xi in _vertical_strips(nu.conjugate() if transposed else nu, cj - j, rows, width):
                     acc[xi] = acc.get(xi, 0) + sign * c
         if transposed:
             acc = {nu.conjugate(): c for nu, c in acc.items()}
-        self[key] = out = tuple(sorted(((nu, c) for nu, c in acc.items() if c), key=lambda kv: _basis_order(kv[0])))
+        out = tuple(sorted(((nu, c) for nu, c in acc.items() if c), key=lambda kv: _basis_order(kv[0])))
+        self[k, n, lam, mu] = self[k, n, mu, lam] = out
         return out
 
 
@@ -472,7 +475,7 @@ def multiply(x: SchubertCycle, y: SchubertCycle) -> SchubertCycle:
     for lam, a in x._terms.items():
         for mu, b in y._terms.items():
             ab = a * b
-            for nu, c in _PRODUCTS[(k, n, lam, mu) if lam <= mu else (k, n, mu, lam)]:
+            for nu, c in _PRODUCTS[k, n, lam, mu]:
                 out[nu] = out.get(nu, 0) + ab * c
     return SchubertCycle._trusted(ctx, {nu: c for nu, c in out.items() if c})
 

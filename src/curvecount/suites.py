@@ -163,7 +163,7 @@ def _rows(lam, k: int) -> list:
 def _pieri_check(contexts):
     """sigma_lam * sigma_a from multiply against the Pieri rule itself:
     coefficient 1 on exactly the box partitions mu of weight |lam| + a with
-    lam_i <= mu_i <= lam_(i-1), the horizontal strips added to lam."""
+    lam_(i-1) >= mu_i >= lam_i, the horizontal strips added to lam."""
     for ctx in contexts:
         for lam in ctx.box_partitions():
             low = _rows(lam, ctx.k)

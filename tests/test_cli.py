@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -640,6 +641,15 @@ def _imported(*args):
     return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
 
 
+def _code_lines():
+    """tools/code_lines.py, which is not part of the package, as a module."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
+    spec = importlib.util.spec_from_file_location("code_lines", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_import_loads_no_dataclasses_inspect_or_resources():
     assert not _imported("-c", "import curvecount") & {"dataclasses", "inspect", "importlib.resources"}
 
@@ -652,6 +662,12 @@ def test_import_and_count_load_no_suites_or_fractions():
                  ["grass", "integrate(sigma[1]^4) in G(2,4)"]):
         loaded = _imported("-m", "curvecount", *argv)
         assert "curvecount.cli" in loaded and not loaded & lazy
+        if argv[0] == "count":
+            # the size counter's "(count loads)" sum leaves out exactly the modules count does not import
+            package = Path(__file__).resolve().parents[1] / "src" / "curvecount"
+            left_out = {path.stem for path in package.glob("*.py")} - {"__init__", "__main__"}
+            left_out = {stem for stem in left_out if f"curvecount.{stem}" not in loaded}
+            assert left_out == _code_lines().NOT_LOADED_BY_COUNT - {"__main__"}
     for argv in (["ledger", "check"], ["equivalence", "--cover", "3"]):
         loaded = _imported("-m", "curvecount", *argv)
         assert "curvecount.bookkeeping" in loaded and "curvecount.suites" not in loaded

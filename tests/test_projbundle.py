@@ -437,7 +437,15 @@ def test_bundle_products_make_no_base_products(monkeypatch):
 
     monkeypatch.setattr(schubert, "multiply", counting)
     monkeypatch.setattr(PBElement, "coeffs", property(_raise))
+    schubert._PRODUCTS.clear()
+    misses = []
+    inner_missing = schubert._ProductTable.__missing__
+    monkeypatch.setattr(schubert._ProductTable, "__missing__",
+                        lambda table, key: misses.append(key) or inner_missing(table, key))
     assert x * y == expected
+    # the reversed product reads the same entries: it computes nothing new
+    computed = len(misses)
+    assert computed and y * x == expected and len(misses) == computed
     assert calls == []
 
 

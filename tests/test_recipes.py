@@ -8,6 +8,7 @@ from curvecount import dsl, recipes
 from curvecount.bookkeeping import (
     DegenerationLedger,
     LedgerComponent,
+    LedgerReport,
     builtin_ledgers,
     clemens_excess,
     equivalence_unobstructed,
@@ -82,6 +83,9 @@ def test_lines_input_validation():
     for ambient, degrees in ((4, [5.9]), (4, [5.0]), (4, ["5"]), (4, [True, 5]), (4.0, [5]), (True, [5])):
         with pytest.raises(ValueError):
             lines_on_complete_intersection(ambient, degrees)
+    # a bare degree is not a list of degrees
+    with pytest.raises(ValueError, match="hypersurface degrees must be positive integers, got 5$"):
+        lines_on_complete_intersection(4, 5)
 
 
 def test_conic_count_on_quintic():
@@ -104,7 +108,7 @@ def test_conics_input_validation():
         with pytest.raises(ValueError):
             conics_on_quintic_type(bad)
     for ambient, degrees in ((2, [5]), (4, []), (4, [0]), ("4", [5]), (4, ["5"]), (4, [5.9]), (4, [5.0]),
-                             (4, [True, 5]), (4.0, [5]), (True, [5])):
+                             (4, [True, 5]), (4.0, [5]), (True, [5]), (4, 5)):
         with pytest.raises(ValueError):
             conics_on_complete_intersection(ambient, degrees)
 
@@ -409,6 +413,11 @@ def test_ledger_records_check_their_fields():
         with pytest.raises(ValueError, match="a ledger needs a string name, an integer total and a tuple"):
             DegenerationLedger(*args)
     assert DegenerationLedger("x", 5, ()).computed == 0
+    # a report is ok exactly when its residual is zero
+    for args in (("x", 5, 3, True), ("x", 5, 5, False), ("x", 5, 5, 1)):
+        with pytest.raises(ValueError, match="ok exactly when computed == total"):
+            LedgerReport(*args)
+    assert LedgerReport("x", 5, 3, False).residual == 2
 
 
 def test_component_contribution_scales_with_count():

@@ -385,8 +385,11 @@ def test_every_stored_sub_product_is_correct():
     _PRODUCTS.clear()
     multiply(schubert_class(ctx, (3, 2, 2, 1)), schubert_class(ctx, (4, 3, 1)))
     assert (4, 9, Partition((3, 2, 2, 1)), Partition((4, 3, 1))) in _PRODUCTS
+    # each product is stored under both orders of its factors, as one tuple
+    assert (4, 9, Partition((4, 3, 1)), Partition((3, 2, 2, 1))) in _PRODUCTS
     for (k, n, lam, mu), prod in _PRODUCTS.items():
         assert (k, n) == (4, 9)
+        assert _PRODUCTS.get((k, n, mu, lam)) is prod
         assert SchubertCycle(ctx, dict(prod)) == multiply_lr(schubert_class(ctx, lam), schubert_class(ctx, mu))
 
 
@@ -522,21 +525,27 @@ def test_products_dispatch_through_module_multiply(monkeypatch):
     assert len(calls) == 3
 
 
-def test_equal_contexts_share_one_product_table():
+def test_equal_contexts_share_one_product_table(monkeypatch):
     a, b = GrassCtx(3, 5), GrassCtx(3, 5)
     assert a is not b and a == b
     s1, s2 = Partition((1,)), Partition((2, 1))
-    _PRODUCTS.pop((3, 5, s1, s2), None)
+    _PRODUCTS.clear()
     product = multiply(schubert_class(a, s1), schubert_class(a, s2))
+    misses = []
+    inner = type(_PRODUCTS).__missing__
+    monkeypatch.setattr(type(_PRODUCTS), "__missing__", lambda table, key: misses.append(key) or inner(table, key))
     assert dict(_PRODUCTS[(3, 5, s1, s2)]) == product.terms
+    # a product and its transpose are one value: the reversed read is a plain hit
+    assert _PRODUCTS[(3, 5, s2, s1)] is _PRODUCTS[(3, 5, s1, s2)]
+    assert misses == []
     # a product on one context is a table entry for every equal one
     size = len(_PRODUCTS)
     for twin in (b, copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert twin == a
         assert multiply(schubert_class(twin, s2), schubert_class(twin, s1)) == product
     assert len(_PRODUCTS) == size
+    assert misses == []
     # and only for an equal one
-    _PRODUCTS.pop((2, 5, s1, s2), None)
     multiply(schubert_class(GrassCtx(2, 5), s1), schubert_class(GrassCtx(2, 5), s2))
     assert (2, 5, s1, s2) in _PRODUCTS
 
