@@ -118,6 +118,8 @@ def equivalence_unobstructed(family_dim: int, chern_integrals=None) -> int:
         value = chern_integrals[family_dim]
     except (KeyError, IndexError):
         raise ValueError(f"missing integral of c_{family_dim}") from None
+    except TypeError:
+        raise ValueError(f"chern_integrals must be a sequence or mapping, got {chern_integrals!r}") from None
     if not _is_int(value):
         raise ValueError(f"the integral of c_{family_dim} must be an integer, got {value!r}")
     return value

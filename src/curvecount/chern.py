@@ -298,19 +298,6 @@ class ChernVector(_Record):
         return [self.c(i) for i in range(top + 1)]
 
 
-def _series_mul(a: list, b: list, ring, top: int) -> list:
-    # both series run through degree top and start with c_0 = 1, whose terms are
-    # added, not multiplied; zero entries (classes above a base's top degree) are skipped
-    out = [ring.one()]
-    for d in range(1, top + 1):
-        acc = a[d] + b[d]
-        for i in range(1, d):
-            if a[i] and b[d - i]:
-                acc = acc + a[i] * b[d - i]
-        out.append(acc)
-    return out
-
-
 def _series_div(num: list, den: list, ring, top: int) -> list:
     # num / den for series through degree top that start with c_0 = 1, solved
     # degree by degree as q_d = num_d - sum_{i=1..d} den_i q_{d-i}; the term
@@ -424,8 +411,8 @@ class _SumClasses(_LazyClasses):
     d asks S_j only for degrees max(1, d - sum_{l>j} depth_l) ..
     min(d, sum_{l<=j} depth_l), depth = len(classes), filled bottom-up in a
     loop, not by recursion per summand; so c_top of a sum whose rank is the
-    top degree is the product of top classes, n - 1 ring products.  As in
-    _series_mul, c_0 terms are added and products with a zero class skipped."""
+    top degree is the product of top classes, n - 1 ring products.  c_0
+    terms are added, and products with a zero class skipped."""
 
     __slots__ = ("_ring", "_parts", "_memos")
 
@@ -506,9 +493,11 @@ def whitney_quotient(f: ChernVector, s: ChernVector) -> ChernVector:
     The power-series quotient c(F)/c(S) through the ring's top degree,
     solved degree by degree from c(S) c(Q) = c(F) (_series_div).  A nonzero
     class above the quotient rank means no such bundle exists, which raises
-    ValueError.  The division is re-checked by multiplying back through the
-    top degree; a mismatch means the series arithmetic is broken and raises
-    ArithmeticError.
+    ValueError.  The division is re-checked by building the Whitney sum
+    S + Q (direct_sum); a class that differs from F's means the series
+    arithmetic is broken and raises ArithmeticError.  Above rk F both sides
+    vanish, as S and Q vanish above their ranks, so the check covers every
+    degree through the top.
     """
     ring = f.ring
     if s.ring != ring:
@@ -517,14 +506,14 @@ def whitney_quotient(f: ChernVector, s: ChernVector) -> ChernVector:
     if rank <= 0:
         raise ValueError(f"sub-bundle rank {s.rank} must be smaller than total rank {f.rank}")
     top = ring.top_degree
-    sub, total = s.total_series(top), f.total_series(top)
-    quot = _series_div(total, sub, ring, top)
+    quot = _series_div(f.total_series(top), s.total_series(top), ring, top)
     depth = min(rank, top)
     if any(quot[depth + 1 :]):
         raise ValueError(f"c(F)/c(S) has classes above degree {rank}: not a bundle of rank {rank}")
-    if _series_mul(sub, quot, ring, top) != total:
+    q = ChernVector(ring, rank, tuple(quot[1 : depth + 1]))
+    if direct_sum(s, q).classes != f.classes:
         raise ArithmeticError("Whitney series division failed its own check")
-    return ChernVector(ring, rank, tuple(quot[1 : depth + 1]))
+    return q
 
 
 def segre(e: ChernVector, top: int) -> list:

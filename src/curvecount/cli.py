@@ -32,16 +32,6 @@ import time
 from . import SUITE_NAMES, dsl, recipes
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on usage errors; this interface reserves
-    2 for internal faults, so usage problems exit 1 instead."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
-
-
 def _int(text: str) -> int:
     """An optional '-' and ASCII digits; int() alone also takes '_', '+', spaces and other scripts' digits."""
     digits = text[1:] if text.startswith("-") else text
@@ -60,8 +50,8 @@ def _int_list(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"expected a comma-separated integer list: {exc}") from None
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="curvecount", description="Exact curve counts via Chern class integrals.")
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="curvecount", description="Exact curve counts via Chern class integrals.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     json_flag = argparse.ArgumentParser(add_help=False)
     json_flag.add_argument("--json", action="store_true", help="emit JSON instead of text")
@@ -231,9 +221,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 0 if code is None else 1
+    except SystemExit as exc:  # --help exits 0; a usage error exits 1, as 2 means an internal fault
+        return 1 if exc.code else 0
     start = time.perf_counter()
     try:
         payload, lines, ok = _HANDLERS[args.command](args)

@@ -83,8 +83,8 @@ from functools import lru_cache
 from math import comb
 
 from .chern import ChernVector, GrassRing, direct_sum, dual_bundle, sym_power, tensor_line, whitney_quotient
-from .projbundle import PBElement, ProjBundleRing
-from .schubert import GrassCtx, SchubertCycle, _Record, schubert_class
+from .projbundle import ProjBundleRing
+from .schubert import GrassCtx, _Record, schubert_class
 
 
 class DSLError(Exception):
@@ -791,9 +791,5 @@ def evaluate(query) -> EvalResult:
     except ValueError:  # an integer past the interpreter's limit on integer string conversion
         raise EvalError(f"the result holds an integer of more than {sys.get_int_max_str_digits()} digits, "
                         "the interpreter's limit for converting an integer to text") from None
-    context = render_context(query.context)
-    if isinstance(value, int):
-        return EvalResult("integer", value, rendered, context)
-    if isinstance(value, (SchubertCycle, PBElement)):
-        return EvalResult("cycle", value, rendered, context)
-    raise EvalError(f"expression produced an unexpected value {value!r}")
+    kind = "integer" if isinstance(value, int) else "cycle"  # _eval_expr makes ints, SchubertCycles and PBElements
+    return EvalResult(kind, value, rendered, render_context(query.context))

@@ -17,7 +17,6 @@ from curvecount.chern import (
     _coefficient_bound,
     _exact_div,
     _packing,
-    _series_mul,
     _sym_chern_polys,
     direct_sum,
     dual_bundle,
@@ -386,28 +385,42 @@ def test_quotient_that_is_no_bundle_is_rejected():
 def test_quotient_division_is_checked_by_multiplying_back(monkeypatch):
     q = R25.tautological("quotient")
     whitney_quotient(sym_power(q, 3), q)
-    inner = chern._series_mul
+    inner = chern.direct_sum
 
-    def perturbed(a, b, ring, top):
-        out = inner(a, b, ring, top)
-        out[2] = out[2] + ring.schubert((2,))
-        return out
+    def perturbed(*bundles):
+        out = inner(*bundles)
+        classes = list(out.classes)
+        classes[1] = classes[1] + out.ring.schubert((2,))
+        return ChernVector(out.ring, out.rank, tuple(classes))
 
-    monkeypatch.setattr(chern, "_series_mul", perturbed)
+    monkeypatch.setattr(chern, "direct_sum", perturbed)
     with pytest.raises(ArithmeticError, match="failed its own check"):
         whitney_quotient(sym_power(q, 3), q)
 
 
+def _series_product(a, b, ring, top):
+    # c(A) c(B) through degree top, one plain sum per degree: the c_0 = 1 terms
+    # are added and products with a zero class skipped, as _SumClasses does
+    out = [ring.one()]
+    for d in range(1, top + 1):
+        acc = a[d] + b[d]
+        for i in range(1, d):
+            if a[i] and b[d - i]:
+                acc = acc + a[i] * b[d - i]
+        out.append(acc)
+    return out
+
+
 def test_quotient_times_the_sub_bundle_gives_the_total():
     # the conic recipe's pair for a quintic: Sym^5 S* over Sym^3 S* (x) O(-1);
-    # the product shares no code with the division
+    # the product shares no code with the division or with _SumClasses
     ring = ProjBundleRing(sym_power(R35.tautological("sub_dual"), 2))
     sdual = ring.pullback(R35.tautological("sub_dual"))
     f, s = sym_power(sdual, 5), tensor_line(sym_power(sdual, 3), -ring.zeta(1))
     top = ring.top_degree
     quot = whitney_quotient(f, s)
     assert quot.rank == top == 11
-    assert _series_mul(s.total_series(top), quot.total_series(top), ring, top) == f.total_series(top)
+    assert _series_product(s.total_series(top), quot.total_series(top), ring, top) == f.total_series(top)
 
 
 def test_tensor_line_c1_shift():
@@ -523,13 +536,14 @@ def test_direct_sum_rejects_what_is_not_a_chern_vector():
 
 
 def _eager_sum(*bundles):
-    # the Whitney product as one eager fold of total series through the top degree
+    # the Whitney product as one eager fold of total series through the top
+    # degree, by the plain per-degree product above
     ring = bundles[0].ring
     rank = sum(b.rank for b in bundles)
     top = min(rank, ring.top_degree)
     series = bundles[0].total_series(top)
     for b in bundles[1:]:
-        series = _series_mul(series, b.total_series(top), ring, top)
+        series = _series_product(series, b.total_series(top), ring, top)
     return ChernVector(ring, rank, tuple(series[1:]))
 
 
@@ -611,6 +625,27 @@ def test_line_counts_need_few_ring_products(multiply_calls):
     counts = [lines_on_complete_intersection(n, d).count for n, d in ((4, (5,)), (3, (3,)), (7, (2, 2, 2, 2)), (6, (2, 2, 3)), (5, (3, 3)), (5, (2, 4)))]
     assert counts == [2875, 27, 512, 720, 1053, 1280]
     assert len(multiply_calls) <= 40
+
+
+def test_the_conic_count_needs_few_bundle_products(monkeypatch):
+    # from cold caches the 609250 conics make 158 products in P(Sym^2 S*), the
+    # quotient's check included; computing that check's products twice breaks this
+    from curvecount import dsl, projbundle
+    from curvecount.recipes import conics_on_quintic_type
+
+    for cache in (dsl._resolve_context, dsl._eval_bundle, dsl._eval_atom, dsl._node):
+        cache.cache_clear()
+    schubert._PRODUCTS.clear()
+    calls = []
+    inner = projbundle.pb_multiply
+
+    def counting(x, y):
+        calls.append(1)
+        return inner(x, y)
+
+    monkeypatch.setattr(projbundle, "pb_multiply", counting)
+    assert conics_on_quintic_type(5).count == 609250
+    assert len(calls) <= 160
 
 
 def test_classes_stop_at_the_top_degree():

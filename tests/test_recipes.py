@@ -349,6 +349,10 @@ def test_equivalence_unobstructed():
                                   (1.0, [0, 20]), (True, [0, 20]), (0.0, None)):
         with pytest.raises(ValueError):
             equivalence_unobstructed(family_dim, integrals)
+    # integrals that cannot be indexed are refused by name, not with a TypeError
+    for integrals in (5, 2.5):
+        with pytest.raises(ValueError, match="chern_integrals must be a sequence or mapping"):
+            equivalence_unobstructed(1, integrals)
 
 
 def test_multiple_cover_weights_are_inverse_cubes():
